@@ -15,8 +15,8 @@
 // bench_util's checkerboard_device_rows) against BENCH_checkerboard.json and
 // additionally fails when a lattice whose baseline shows the checkerboard
 // beating dense (speedup >= 1) no longer does. The fleet suite (the
-// default) replays steal-free fleet runs (docs/FLEET.md) of 8 chains in
-// crowds of 2 on gpusim against BENCH_fleet.json:
+// default) replays fleet runs (docs/FLEET.md) of 8 one-chain shards on
+// gpusim against BENCH_fleet.json:
 // the merged gpusim virtual-clock device seconds compare relatively, the
 // protocol frame count exactly, and the trajectory hash must bitwise-match
 // the single-process crowd baseline computed in the same invocation — a
@@ -64,7 +64,7 @@ struct Shape {
 
 /// The fleet workload on an lx x ly lattice: U = 4, beta = 2, L = 8,
 /// k = 4, delay rank 16, gpusim backend, 1 warmup + 2 measurement sweeps,
-/// seed 17, 8 chains in crowds of 2 (4 shards).
+/// seed 17; the single-process oracle runs the 8 chains in crowds of 2.
 core::SimulationConfig fleet_replay_config(idx lx, idx ly) {
   core::SimulationConfig cfg;
   cfg.lx = lx;
@@ -115,13 +115,11 @@ struct FleetBenchRow {
   std::uint64_t snapshots = 0;
 };
 
-/// One deterministic fleet replay: steal-free (stealing is wall-clock
-/// timing, not physics, so the protocol trace would not be reproducible),
-/// gpusim virtual clock, with the single-process crowd run of the SAME
-/// config as the bitwise oracle.
+/// One deterministic fleet replay on the gpusim virtual clock, with the
+/// single-process crowd run of the SAME config as the bitwise oracle.
 FleetBenchRow run_fleet_row(const Shape& shape, idx workers) {
   const core::SimulationConfig cfg = fleet_replay_config(shape.lx, shape.ly);
-  const idx chains = 8;  // 4 shards of 2 chains
+  const idx chains = 8;  // 8 one-chain shards
   core::SupervisorPolicy policy;
   policy.checkpoint_interval = 2;  // one mid-run boundary => one snapshot
 
@@ -130,7 +128,6 @@ FleetBenchRow run_fleet_row(const Shape& shape, idx workers) {
 
   fleet::FleetConfig fc;
   fc.workers = workers;
-  fc.steal = false;
   const fleet::FleetResult fleet =
       fleet::run_fleet(cfg, policy, fc, chains);
 
@@ -281,7 +278,7 @@ int main(int argc, char** argv) {
                 "outside the %.0f%% tolerance", 100.0 * tolerance);
 
   if (suite == "fleet") {
-    // Deterministic replay of the steal-free multi-process fleet: the
+    // Deterministic replay of the multi-process fleet: the
     // merged virtual-clock device seconds compare relatively, the protocol
     // frame count exactly (the frame schedule is a structural invariant of
     // the coordinator/worker handshake), and the trajectory hash must

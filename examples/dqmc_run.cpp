@@ -30,9 +30,10 @@
 //
 // The keys pick the run, always under the walker supervisor
 // (docs/RELIABILITY.md), with the `failpoints` spec armed in this process:
-//   fleet_workers N >= 1   shard `walkers` chains, in crowds of
-//                          walker_batch, over N forked worker processes
-//                          (docs/FLEET.md; the other fleet_* keys need it)
+//   fleet_workers N >= 1   deal `walkers` chains, one at a time, to N
+//                          forked worker processes; walker_batch does not
+//                          apply (docs/FLEET.md; the other fleet_* keys
+//                          need it)
 //   walkers N > 1          run N chains here (seeds seed .. seed+N-1) and
 //                          merge their bins; they run in crowds of up to
 //                          walker_batch W (default 1) that share one
@@ -200,15 +201,14 @@ int main(int argc, char** argv) {
               static_cast<long long>(cfg.engine.delay_rank),
               static_cast<unsigned long long>(cfg.seed),
               backend::backend_kind_name(cfg.engine.backend));
-  if (walkers > 1 || fleet) {
-    std::printf("%lld walkers in crowds of up to %lld",
+  if (fleet) {
+    std::printf("%lld walkers, one at a time, over %lld worker processes\n",
+                static_cast<long long>(walkers),
+                static_cast<long long>(fc.workers));
+  } else if (walkers > 1) {
+    std::printf("%lld walkers in crowds of up to %lld\n",
                 static_cast<long long>(walkers),
                 static_cast<long long>(cfg.walker_batch));
-    if (fleet) {
-      std::printf(" over %lld worker processes",
-                  static_cast<long long>(fc.workers));
-    }
-    std::printf("\n");
   }
   std::printf("\n");
 
@@ -319,14 +319,14 @@ int main(int argc, char** argv) {
   std::vector<fault::FaultEvent> events = fr.events;
   if (fleet_report) {
     const fleet::FleetReport& f = *fleet_report;
-    std::printf("fleet: %lld shards over %lld workers, %" PRIu64 " frames "
+    std::printf("fleet: %lld chains over %lld workers, %" PRIu64 " frames "
                 "(%" PRIu64 " bytes), %" PRIu64 " snapshots, %" PRIu64
-                " steals (%" PRIu64 " declined), %" PRIu64 " deaths, %" PRIu64
-                " reassignments, %" PRIu64 " protocol faults\n",
-                static_cast<long long>(f.shards),
+                " deaths, %" PRIu64 " reassignments, %" PRIu64
+                " protocol faults\n",
+                static_cast<long long>(f.chains),
                 static_cast<long long>(f.workers), f.frames_received,
-                f.bytes_received, f.snapshots, f.steals, f.steals_declined,
-                f.worker_deaths, f.reassignments, f.protocol_faults);
+                f.bytes_received, f.snapshots, f.worker_deaths,
+                f.reassignments, f.protocol_faults);
     for (const fleet::WorkerSummary& w : f.worker_summaries) {
       std::printf("  worker %d (pid %ld): %" PRIu64 " shards, %" PRIu64
                   " frames, %s%s%s\n",

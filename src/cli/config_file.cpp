@@ -30,8 +30,7 @@ bool is_config_key(const std::string& key) {
       "checkpoint_in", "checkpoint_out",
       "failpoints", "max_retries", "checkpoint_interval",
       "walkers", "walker_batch",
-      "fleet_workers", "fleet_steal",
-      "fleet_wedge_timeout_ms", "fleet_max_reassigns"};
+      "fleet_workers", "fleet_wedge_timeout_ms", "fleet_max_reassigns"};
   return kKnown.count(key) > 0;
 }
 
@@ -175,7 +174,6 @@ core::SupervisorPolicy supervisor_policy_from(const ConfigFile& file) {
 fleet::FleetConfig fleet_config_from(const ConfigFile& file) {
   fleet::FleetConfig fc;
   fc.workers = file.get_long("fleet_workers", fc.workers);
-  fc.steal = file.get_long("fleet_steal", fc.steal ? 1 : 0) != 0;
   fc.wedge_timeout_ms =
       file.get_long("fleet_wedge_timeout_ms", fc.wedge_timeout_ms);
   fc.max_reassigns =

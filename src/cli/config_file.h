@@ -61,8 +61,8 @@ core::SimulationConfig simulation_config_from(const ConfigFile& file);
 /// checkpoint_interval); everything else keeps SupervisorPolicy defaults.
 core::SupervisorPolicy supervisor_policy_from(const ConfigFile& file);
 
-/// Fleet knobs from the same file: fleet_workers, fleet_steal (0/1),
-/// fleet_wedge_timeout_ms, fleet_max_reassigns; everything else keeps
+/// Fleet knobs from the same file: fleet_workers, fleet_wedge_timeout_ms,
+/// fleet_max_reassigns; everything else keeps
 /// FleetConfig defaults (fail-point arming and artifact paths stay driver
 /// flags — they name per-invocation state, not the simulation).
 fleet::FleetConfig fleet_config_from(const ConfigFile& file);

@@ -99,13 +99,6 @@ void CrowdMeasurements::discard() {
   for (auto& s : dynamic_) s.clear();
 }
 
-void CrowdMeasurements::truncate(idx walkers) {
-  const auto keep = static_cast<std::size_t>(walkers);
-  workspaces_.resize(keep);
-  equal_time_.resize(keep);
-  dynamic_.resize(keep);
-}
-
 }  // namespace detail
 
 namespace {
@@ -244,11 +237,7 @@ void CrowdSupervisor::run() {
       commit(seg_end);
       attempt = 0;
       if (boundary_) {
-        CrowdBoundary b;
-        b.done = done_;
-        b.total = total;
-        b.can_split = ckpt_sweep_ == done_ && walkers_ >= 2 && done_ < total;
-        boundary_(b);
+        boundary_(CrowdBoundary{done_, total});
       }
     } catch (const InputError&) {
       throw;  // bad input, not a fault: no retry can fix it
@@ -269,41 +258,6 @@ void CrowdSupervisor::run() {
   }
 
   finish();
-}
-
-WalkerHandoff CrowdSupervisor::split_tail(idx count) {
-  DQMC_CHECK_MSG(count >= 1 && count < walkers_,
-                 "split_tail: count must leave both sides non-empty");
-  DQMC_CHECK_MSG(ckpt_sweep_ == done_ && !ckpts_.empty(),
-                 "split_tail: recovery checkpoints are not at the boundary");
-  const idx keep = walkers_ - count;
-
-  WalkerHandoff handoff;
-  handoff.first_chain = first_ + keep;
-  handoff.walkers = count;
-  handoff.done = done_;
-  handoff.checkpoints.assign(ckpts_.begin() + static_cast<std::ptrdiff_t>(keep),
-                             ckpts_.end());
-
-  // Every walker's phase profile so far travels in its partial: the
-  // yielded ones with the handoff, the kept ones into their new engines'.
-  for (idx w = 0; w < walkers_; ++w) {
-    partials_[index(w)]->profiler.merge(batch_->engine(w).profiler());
-  }
-  // Rebuild the batch around the kept walkers from their own lockstep
-  // checkpoints — a bitwise restore, not a fault (no restart recorded).
-  batch_.reset();
-  walkers_ = keep;
-  ckpts_.resize(static_cast<std::size_t>(keep));
-  measurements_.truncate(keep);
-  scratch_stats_.resize(static_cast<std::size_t>(keep));
-  batch_ = make_batch();
-  load_all_from_ckpts();
-  DQMC_FLIGHT_EVENT(obs::FlightEventKind::kNote, "crowd.split", "yield",
-                    static_cast<double>(done_), static_cast<double>(count));
-  obs::metrics().count("fleet.walkers_migrated",
-                       static_cast<std::uint64_t>(count));
-  return handoff;
 }
 
 std::unique_ptr<WalkerBatch> CrowdSupervisor::make_batch() const {

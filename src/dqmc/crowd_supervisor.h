@@ -7,16 +7,12 @@
 // Out-of-process runtimes (the fleet coordinator/worker in src/fleet/)
 // drive this SAME loop the single-process runs use — one code path is what
 // makes the fleet's bitwise-equivalence contract provable rather than
-// aspirational. For the fleet it has three hooks:
+// aspirational. A fleet shard is one chain, run as a crowd of one. For the
+// fleet it has two hooks:
 //   * set_resume(): start from per-walker v1 checkpoints + committed-sweep
 //     count instead of initialize() — how a shard moves between processes;
 //   * a boundary hook fired after every committed segment — the fleet
-//     worker polls its control pipe there (steal requests, snapshots);
-//   * split_tail(): give up the crowd's trailing walkers at a lockstep
-//     boundary, rebuilding the batch around the kept walkers — the
-//     work-stealing donor side. Splits are only legal when the recovery
-//     checkpoints are current (ckpt_sweep == done), so a migrated walker
-//     resumes bit-for-bit.
+//     worker reports progress and ships resume snapshots there.
 #pragma once
 
 #include <functional>
@@ -49,8 +45,6 @@ class CrowdMeasurements {
   void commit(idx w, SimulationResults& results);
   /// Drop every pending sample (a replayed segment measures again).
   void discard();
-  /// Keep only the first `walkers` walkers (a crowd that gave up its tail).
-  void truncate(idx walkers);
 
  private:
   const SimulationConfig& config_;
@@ -66,26 +60,13 @@ class CrowdMeasurements {
 
 /// Segment-boundary report passed to the boundary hook.
 struct CrowdBoundary {
-  idx done = 0;       ///< sweeps committed so far
-  idx total = 0;      ///< warmup + measurement sweeps
-  /// Recovery checkpoints are current (ckpt_sweep == done) and the crowd
-  /// still has at least two walkers — split_tail() is legal right now.
-  bool can_split = false;
+  idx done = 0;   ///< sweeps committed so far
+  idx total = 0;  ///< warmup + measurement sweeps
 };
 
-/// Called between segments, after commit. May call split_tail() on the
-/// supervisor that invoked it; must not throw to signal anything but a
-/// fatal error.
+/// Called between segments, after commit. A throw is a fault of the
+/// segment: the recovery ladder replays it like any other.
 using CrowdBoundaryFn = std::function<void(const CrowdBoundary&)>;
-
-/// State handed off when walkers leave a crowd (split_tail) — everything a
-/// receiving process needs to continue those chains bit-for-bit.
-struct WalkerHandoff {
-  idx first_chain = 0;  ///< global index of the first migrated chain
-  idx walkers = 0;
-  idx done = 0;  ///< sweeps committed (== the checkpoints' boundary)
-  std::vector<std::string> checkpoints;  ///< per-walker v1 checkpoints
-};
 
 /// One supervised crowd. The recovery ladder is crowd-wide: any
 /// fault restores ALL walkers from their lockstep in-memory checkpoints and
@@ -119,22 +100,9 @@ class CrowdSupervisor {
   /// Fire `hook` after every committed segment. Must be set before run().
   void set_boundary_hook(CrowdBoundaryFn hook) { boundary_ = std::move(hook); }
 
-  /// Give up the crowd's last `count` walkers (1 <= count < walkers()).
-  /// Only legal from inside the boundary hook when can_split is true: the
-  /// migrated walkers' checkpoints ARE the current boundary, and the batch
-  /// is rebuilt around the kept walkers from their own lockstep checkpoints
-  /// (a bitwise restore, not a fault — no restart is recorded, though like
-  /// any rebuild it resets the kept engines' profiler/stratification
-  /// diagnostics). The migrated chains' partials keep their committed
-  /// samples; the caller ships them with the handoff and must not count
-  /// them in this crowd's finished results.
-  WalkerHandoff split_tail(idx count);
-
   /// Run to completion (or throw after the recovery ladder gives up).
   void run();
 
-  idx first_chain() const { return first_; }
-  idx walkers() const { return walkers_; }
   idx done() const { return done_; }
   idx total_sweeps() const {
     return config_.warmup_sweeps + config_.measurement_sweeps;

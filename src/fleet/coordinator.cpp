@@ -47,12 +47,10 @@ obs::Json FleetReport::json_value() const {
   }
   return obs::Json::object()
       .set("workers", static_cast<std::int64_t>(workers))
-      .set("shards", static_cast<std::int64_t>(shards))
+      .set("chains", static_cast<std::int64_t>(chains))
       .set("frames_received", frames_received)
       .set("bytes_received", bytes_received)
       .set("snapshots", snapshots)
-      .set("steals", steals)
-      .set("steals_declined", steals_declined)
       .set("worker_deaths", worker_deaths)
       .set("reassignments", reassignments)
       .set("protocol_faults", protocol_faults)
@@ -70,9 +68,6 @@ struct ShardRecord {
   int reassigns = 0;
   bool completed = false;
   core::idx progress_done = 0;  ///< sweeps already surfaced to progress
-  /// progress_done when the shard last declined a steal: it is not asked
-  /// again until it reports a later boundary.
-  core::idx declined_at = -1;
 };
 
 struct WorkerRecord {
@@ -83,7 +78,6 @@ struct WorkerRecord {
   int shard = -1;  ///< index into shards_, -1 when idle
   bool alive = true;
   bool helloed = false;
-  bool steal_outstanding = false;
   Clock::time_point last_heard;
   WorkerSummary summary;
 };
@@ -109,8 +103,7 @@ class Coordinator {
         fleet_(fleet),
         chains_(chains),
         progress_(progress),
-        total_sweeps_(config.warmup_sweeps + config.measurement_sweeps),
-        crowd_(config.walker_batch) {}
+        total_sweeps_(config.warmup_sweeps + config.measurement_sweeps) {}
 
   ~Coordinator() {
     // Never leak children: SIGKILL + reap anything still alive (normal
@@ -129,11 +122,10 @@ class Coordinator {
     make_shards();
     fork_workers();
     report_.workers = fleet_.workers;
-    report_.shards = static_cast<idx>(shards_.size());
+    report_.chains = chains_;
 
     while (!all_completed()) {
       dispatch();
-      maybe_steal();
       poll_once();
       check_wedges();
     }
@@ -147,10 +139,9 @@ class Coordinator {
     out.fleet = report_;
 
     obs::metrics().count("fleet.runs");
-    obs::metrics().count("fleet.shards", static_cast<std::uint64_t>(
-                                             report_.shards));
+    obs::metrics().count("fleet.chains", static_cast<std::uint64_t>(
+                                             report_.chains));
     obs::metrics().count("fleet.snapshots", report_.snapshots);
-    obs::metrics().count("fleet.steals", report_.steals);
     obs::metrics().count("fleet.worker_deaths", report_.worker_deaths);
     obs::metrics().count("fleet.reassignments", report_.reassignments);
     obs::metrics().count("fleet.protocol_faults", report_.protocol_faults);
@@ -158,13 +149,12 @@ class Coordinator {
   }
 
  private:
+  /// One shard per chain, in chain order: shard s is chain s.
   void make_shards() {
     chain_partials_.resize(static_cast<std::size_t>(chains_));
-    for (core::idx first = 0; first < chains_; first += crowd_) {
-      ShardRecord shard;
-      shard.state.first = first;
-      shard.state.walkers = std::min(crowd_, chains_ - first);
-      shards_.push_back(std::move(shard));
+    shards_.resize(static_cast<std::size_t>(chains_));
+    for (core::idx chain = 0; chain < chains_; ++chain) {
+      shards_[static_cast<std::size_t>(chain)].state.chain = chain;
     }
   }
 
@@ -243,48 +233,6 @@ class Coordinator {
     }
   }
 
-  void maybe_steal() {
-    if (!fleet_.steal || pending_shard() >= 0) return;
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      WorkerRecord& idle = workers_[i];
-      if (!idle.alive || !idle.helloed || idle.shard >= 0) continue;
-      // Victim: busiest running shard (most remaining sweeps, ties to the
-      // lowest shard id) with at least two walkers and no steal in flight.
-      int victim_shard = -1;
-      core::idx victim_remaining = 0;
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        const ShardRecord& shard = shards_[s];
-        if (shard.completed || shard.owner < 0) continue;
-        const WorkerRecord& owner =
-            workers_[static_cast<std::size_t>(shard.owner)];
-        if (owner.steal_outstanding || shard.state.walkers < 2 ||
-            shard.declined_at == shard.progress_done) {
-          continue;
-        }
-        const core::idx remaining = total_sweeps_ - shard.progress_done;
-        if (remaining <= 0) continue;
-        if (victim_shard < 0 || remaining > victim_remaining) {
-          victim_shard = static_cast<int>(s);
-          victim_remaining = remaining;
-        }
-      }
-      if (victim_shard < 0) return;
-      ShardRecord& shard = shards_[static_cast<std::size_t>(victim_shard)];
-      WorkerRecord& owner = workers_[static_cast<std::size_t>(shard.owner)];
-      std::ostringstream p;
-      hx::put_u64(p, static_cast<std::uint64_t>(shard.state.walkers / 2));
-      try {
-        write_frame(owner.to_fd, FrameType::kSteal,
-                    static_cast<std::uint32_t>(victim_shard), p.str());
-        owner.steal_outstanding = true;
-      } catch (const FleetProtocolError& e) {
-        dispose_worker(shard.owner, "fleet.worker.send",
-                       std::string("steal failed: ") + e.what());
-      }
-      return;  // one steal in flight at a time keeps the ledger simple
-    }
-  }
-
   void poll_once() {
     std::vector<struct pollfd> fds;
     std::vector<int> owner;
@@ -357,14 +305,11 @@ class Coordinator {
         ShardRecord& shard = shard_for(frame.shard);
         std::istringstream in(frame.payload);
         const core::idx done = static_cast<core::idx>(hx::get_u64(in));
-        const core::idx walkers = static_cast<core::idx>(hx::get_u64(in));
         // Replayed sweeps (done <= already-reported) stay silent: committed
         // work is surfaced exactly once, like the accumulators themselves.
         for (core::idx g = shard.progress_done + 1; g <= done; ++g) {
           if (!progress_) break;
-          for (core::idx k = 0; k < walkers; ++k) {
-            progress_(g, total_sweeps_, g <= config_.warmup_sweeps);
-          }
+          progress_(g, total_sweeps_, g <= config_.warmup_sweeps);
         }
         shard.progress_done = std::max(shard.progress_done, done);
         return;
@@ -375,55 +320,17 @@ class Coordinator {
         ++report_.snapshots;
         return;
       }
-      case FrameType::kYield: {
-        w.steal_outstanding = false;
-        ShardState yielded = decode_shard_state(frame.payload);
-        if (yielded.walkers == 0) {
-          ++report_.steals_declined;
-          ShardRecord& shard = shard_for(frame.shard);
-          shard.declined_at = shard.progress_done;
-          return;
-        }
-        ShardRecord& victim = shard_for(frame.shard);
-        // The victim keeps the chain prefix [first, yielded.first); its
-        // stored resume state must never cover the migrated tail, or a
-        // later victim death would fork those chains onto two workers.
-        const core::idx kept = yielded.first - victim.state.first;
-        DQMC_CHECK_MSG(kept >= 1 && kept < victim.state.walkers + 1,
-                       "fleet: yield splits outside the victim shard");
-        victim.state.walkers = std::min(victim.state.walkers, kept);
-        if (static_cast<core::idx>(victim.state.checkpoints.size()) > kept) {
-          victim.state.checkpoints.resize(static_cast<std::size_t>(kept));
-        }
-        if (static_cast<core::idx>(victim.state.partials.size()) > kept) {
-          victim.state.partials.resize(static_cast<std::size_t>(kept));
-        }
-        ShardRecord fresh;
-        fresh.state = std::move(yielded);
-        fresh.progress_done = fresh.state.done;
-        shards_.push_back(std::move(fresh));
-        ++report_.steals;
-        return;
-      }
       case FrameType::kResult: {
         ShardRecord& shard = shard_for(frame.shard);
-        const ShardState result = decode_shard_state(frame.payload);
-        for (core::idx i = 0; i < result.walkers; ++i) {
-          const core::idx chain = result.first + i;
-          DQMC_CHECK_MSG(chain >= 0 && chain < chains_,
-                         "fleet: result chain out of range");
-          auto& slot = chain_partials_[static_cast<std::size_t>(chain)];
-          DQMC_CHECK_MSG(slot == nullptr,
-                         "fleet: chain completed twice (split ledger bug)");
-          slot = make_chain_partial(config_, chain);
-          deserialize_chain_partial(
-              result.partials[static_cast<std::size_t>(i)], *slot);
-        }
+        DQMC_CHECK_MSG(!shard.completed, "fleet: chain completed twice");
+        auto& slot = chain_partials_[frame.shard];
+        slot = make_chain_partial(config_, shard.state.chain);
+        deserialize_chain_partial(decode_shard_state(frame.payload).partial,
+                                  *slot);
         shard.completed = true;
         shard.owner = -1;
         shard.progress_done = total_sweeps_;
         w.shard = -1;
-        w.steal_outstanding = false;
         ++w.summary.shards_completed;
         return;
       }
@@ -561,7 +468,6 @@ class Coordinator {
   core::idx chains_;
   const ProgressFn& progress_;
   core::idx total_sweeps_;
-  core::idx crowd_;
   std::vector<ShardRecord> shards_;
   std::vector<WorkerRecord> workers_;
   core::ChainPartials chain_partials_;

@@ -3,24 +3,21 @@
 //
 // Topology: one coordinator, FleetConfig::workers forked children, two
 // pipes per child, poll(2) multiplexing — no MPI, no threads in the
-// coordinator. Shards are consecutive walker crowds (walker_batch chains
-// each, exactly the partition run_supervised_parallel uses) dealt to idle
-// workers in chain order; per-chain seeds are config.seed + chain, so
-// WHICH worker runs a shard never changes WHAT it computes.
+// coordinator. A shard is one chain, dealt to the next idle worker in chain
+// order; per-chain seeds are config.seed + chain, so WHICH worker runs a
+// chain never changes WHAT it computes. walker_batch groups chains only
+// inside one process: the fleet ignores it.
 //
 // Failure semantics (docs/FLEET.md has the full state machine):
 //   * a dead worker (EOF + waitpid classification) or a protocol fault
 //     (malformed frame) or a wedged worker (silence past wedge_timeout_ms)
-//     costs its process; the shard it owned is reassigned to a survivor
-//     from the latest lockstep snapshot — or replayed from scratch — both
+//     costs its process; the chain it owned is reassigned to a survivor
+//     from its latest snapshot — or replayed from scratch — both
 //     bitwise-identical outcomes, so a killed worker NEVER forks surviving
 //     trajectories;
-//   * an idle worker with nothing queued steals the tail walkers of the
-//     busiest running shard at that shard's next checkpoint boundary
-//     (kSteal -> kYield), migrating whole walkers with their checkpoints
-//     and committed accumulators;
 //   * a shard that exceeds max_reassigns, or a worker reporting a terminal
-//     supervisor abort (kFail), aborts the run.
+//     supervisor abort (kFail), aborts the run; the coordinator then
+//     SIGKILLs and reaps every worker still alive.
 #pragma once
 
 #include <string>
@@ -56,12 +53,13 @@ struct WorkerSummary {
 /// section and mirrors the fleet.* metrics counters.
 struct FleetReport {
   idx workers = 0;
-  idx shards = 0;  ///< initial shards (steals add more)
+  idx chains = 0;  ///< shards dealt: one per chain
   std::uint64_t frames_received = 0;
   std::uint64_t bytes_received = 0;
   std::uint64_t snapshots = 0;
-  std::uint64_t steals = 0;    ///< kSteal requests granted (kYield accepted)
-  std::uint64_t steals_declined = 0;
+  /// Always 0: work stealing is deleted. Kept only because the wall-clock
+  /// benchmark still prints it; it goes with that benchmark's refresh.
+  std::uint64_t steals = 0;
   std::uint64_t worker_deaths = 0;
   std::uint64_t reassignments = 0;
   std::uint64_t protocol_faults = 0;
@@ -84,11 +82,11 @@ struct FleetResult {
       : results(std::move(merged)) {}
 };
 
-/// Run `chains` chains sharded over a fleet of forked workers, a shard
-/// being a walker crowd of up to config.walker_batch chains. Deterministic for
-/// a fixed config: the merged measurements, sweep stats, and chain-order
-/// trajectory-hash fold bitwise-match run_supervised_parallel with the same
-/// config — with any worker count, with steals, and across worker deaths.
+/// Run `chains` chains sharded over a fleet of forked workers, one chain per
+/// shard. Deterministic for a fixed config: the merged measurements, sweep
+/// stats, and chain-order trajectory-hash fold bitwise-match
+/// run_supervised_parallel with the same config — with any worker count,
+/// any walker_batch, and across worker deaths.
 /// `progress` is invoked in the coordinator process from the workers'
 /// boundary progress frames (so in segment-sized bursts, not per sweep).
 FleetResult run_fleet(const SimulationConfig& config,

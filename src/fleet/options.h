@@ -1,5 +1,6 @@
-// Fleet runtime knobs shared by the coordinator (fork/assign/steal policy)
-// and the worker children (fail-point arming, forensic artifact paths).
+// Fleet runtime knobs shared by the coordinator (fork, dealing and
+// reassignment policy) and the worker children (fail-point arming,
+// forensic artifact paths).
 #pragma once
 
 #include <string>
@@ -12,11 +13,10 @@ namespace dqmc::fleet {
 using linalg::idx;
 
 struct FleetConfig {
-  /// Worker processes to fork. Shards are dealt to idle workers in chain
-  /// order, so any worker count yields the same merged result.
+  /// Worker processes to fork. Chains are dealt one at a time to idle
+  /// workers in chain order, so any worker count yields the same merged
+  /// result.
   idx workers = 2;
-  /// Steal walkers from the busiest running shard when a worker goes idle.
-  bool steal = true;
   /// Declare a silent worker wedged (and SIGKILL + reassign it) after this
   /// many milliseconds without a frame while it owns a shard. 0 disables —
   /// the default, since a legitimate segment can run long.

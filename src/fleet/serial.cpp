@@ -69,13 +69,10 @@ void deserialize_chain_partial(const std::string& blob, SimulationResults& r) {
 std::string encode_shard_state(const ShardState& state) {
   std::ostringstream out;
   out << "shard-state\n";
-  hx::put_u64(out, static_cast<std::uint64_t>(state.first));
-  hx::put_u64(out, static_cast<std::uint64_t>(state.walkers));
+  hx::put_u64(out, static_cast<std::uint64_t>(state.chain));
   hx::put_u64(out, static_cast<std::uint64_t>(state.done));
-  hx::put_u64(out, state.checkpoints.size());
-  for (const std::string& c : state.checkpoints) hx::put_block(out, c);
-  hx::put_u64(out, state.partials.size());
-  for (const std::string& p : state.partials) hx::put_block(out, p);
+  hx::put_block(out, state.checkpoint);
+  hx::put_block(out, state.partial);
   return out.str();
 }
 
@@ -83,17 +80,10 @@ ShardState decode_shard_state(const std::string& payload) {
   std::istringstream in(payload);
   hx::expect(in, "shard-state");
   ShardState state;
-  state.first = static_cast<idx>(hx::get_u64(in));
-  state.walkers = static_cast<idx>(hx::get_u64(in));
+  state.chain = static_cast<idx>(hx::get_u64(in));
   state.done = static_cast<idx>(hx::get_u64(in));
-  const std::uint64_t nc = hx::get_u64(in);
-  DQMC_CHECK_MSG(nc <= 1u << 16, "shard state: implausible checkpoint count");
-  state.checkpoints.resize(static_cast<std::size_t>(nc));
-  for (std::string& c : state.checkpoints) c = hx::get_block(in);
-  const std::uint64_t np = hx::get_u64(in);
-  DQMC_CHECK_MSG(np <= 1u << 16, "shard state: implausible partial count");
-  state.partials.resize(static_cast<std::size_t>(np));
-  for (std::string& p : state.partials) p = hx::get_block(in);
+  state.checkpoint = hx::get_block(in);
+  state.partial = hx::get_block(in);
   return state;
 }
 

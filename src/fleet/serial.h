@@ -6,18 +6,17 @@
 //     (measurements, dynamic, sweep/strat/backend stats, phase profile,
 //     fault report, trajectory hash), bit-exact via hexio so the coordinator's
 //     merge_chains — the single-process merge — folds it to the last bit;
-//   * a ShardState — a crowd's resume point: per-walker v1 checkpoints at a
-//     lockstep boundary plus the per-chain partials committed before it.
-//     The same shape serves assignment (fresh: no checkpoints), snapshot
-//     (periodic resume insurance), yield (work stealing), and result
-//     (done == total, no checkpoints) — one codec, four frame types.
+//   * a ShardState — one chain's resume point: its v1 checkpoint at a
+//     segment boundary plus the partial committed before it. The same shape
+//     serves assignment (fresh: no checkpoint, no partial), snapshot
+//     (periodic resume insurance) and result (done == total, no
+//     checkpoint) — one codec, three frame types.
 // Both sides already share the SimulationConfig by fork inheritance, so
 // payloads carry only per-chain state, never the run configuration.
 #pragma once
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "dqmc/simulation.h"
 
@@ -33,15 +32,15 @@ using core::idx;
 std::string serialize_chain_partial(const SimulationResults& r);
 void deserialize_chain_partial(const std::string& blob, SimulationResults& r);
 
-/// A shard's position in the run, sufficient to continue it elsewhere.
+/// A shard's position in the run, sufficient to continue it elsewhere. A
+/// shard is one chain.
 struct ShardState {
-  idx first = 0;    ///< global index of the shard's first chain
-  idx walkers = 0;  ///< chains in the shard
-  idx done = 0;     ///< sweeps committed at the boundary
-  /// Per-walker v1 checkpoints at `done` (empty = start fresh / result).
-  std::vector<std::string> checkpoints;
-  /// Per-chain serialized partials (empty on a fresh assignment).
-  std::vector<std::string> partials;
+  idx chain = 0;  ///< global index of the shard's chain
+  idx done = 0;   ///< sweeps committed at the boundary
+  /// v1 checkpoint at `done` (empty = start fresh / result).
+  std::string checkpoint;
+  /// Serialized partial (empty on a fresh assignment).
+  std::string partial;
 };
 
 std::string encode_shard_state(const ShardState& state);

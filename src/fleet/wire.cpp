@@ -25,8 +25,18 @@ std::uint64_t get_le(const std::string& in, std::size_t at, int bytes) {
 }
 
 bool valid_type(std::uint16_t t) {
-  return t >= static_cast<std::uint16_t>(FrameType::kHello) &&
-         t <= static_cast<std::uint16_t>(FrameType::kTelemetry);
+  switch (static_cast<FrameType>(t)) {
+    case FrameType::kHello:
+    case FrameType::kAssign:
+    case FrameType::kResult:
+    case FrameType::kSnapshot:
+    case FrameType::kProgress:
+    case FrameType::kShutdown:
+    case FrameType::kFail:
+    case FrameType::kTelemetry:
+      return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -37,8 +47,6 @@ const char* frame_type_name(FrameType t) {
     case FrameType::kAssign: return "assign";
     case FrameType::kResult: return "result";
     case FrameType::kSnapshot: return "snapshot";
-    case FrameType::kSteal: return "steal";
-    case FrameType::kYield: return "yield";
     case FrameType::kProgress: return "progress";
     case FrameType::kShutdown: return "shutdown";
     case FrameType::kFail: return "fail";

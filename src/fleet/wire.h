@@ -28,12 +28,11 @@ namespace dqmc::fleet {
 
 enum class FrameType : std::uint16_t {
   kHello = 1,     ///< worker -> coordinator: ready (payload: worker index)
-  kAssign = 2,    ///< coordinator -> worker: run a shard (ShardAssignment)
-  kResult = 3,    ///< worker -> coordinator: finished shard (ShardResult)
-  kSnapshot = 4,  ///< worker -> coordinator: lockstep resume state
-  kSteal = 5,     ///< coordinator -> worker: yield tail walkers (count)
-  kYield = 6,     ///< worker -> coordinator: stolen walkers (or declined)
-  kProgress = 7,  ///< worker -> coordinator: sweep-units completed delta
+  kAssign = 2,    ///< coordinator -> worker: run a shard (ShardState)
+  kResult = 3,    ///< worker -> coordinator: finished shard (ShardState)
+  kSnapshot = 4,  ///< worker -> coordinator: chain resume state
+  // 5 and 6 are retired (they carried work stealing): invalid on the wire.
+  kProgress = 7,  ///< worker -> coordinator: sweeps committed so far
   kShutdown = 8,  ///< coordinator -> worker: exit cleanly
   kFail = 9,      ///< worker -> coordinator: shard failed terminally
   kTelemetry = 10 ///< worker -> coordinator: forensic artifact line

@@ -1,12 +1,10 @@
 #include "fleet/worker.h"
 
 #include <csignal>
-#include <poll.h>
 #include <sstream>
 #include <unistd.h>
 
 #include <memory>
-#include <vector>
 
 #include "common/hexio.h"
 #include "dqmc/crowd_supervisor.h"
@@ -21,10 +19,8 @@ namespace dqmc::fleet {
 
 namespace hx = dqmc::hexio;
 
-using core::CrowdBoundary;
 using core::CrowdSupervisor;
 using core::ProgressFn;
-using core::WalkerHandoff;
 
 std::string worker_unique_path(const std::string& base, int worker_index,
                                long pid) {
@@ -55,7 +51,7 @@ class Worker {
         reporter_(reporter) {
     progress_ = [this](core::idx, core::idx, bool warmup) {
       // Deterministic kill/wedge probes for the determinism suite: the
-      // progress stream ticks once per walker per lockstep sweep, so an
+      // progress stream ticks once per sweep of this worker's chains, so an
       // armed "fleet.worker.kill:N" dies at the same point of the
       // trajectory every run — mid-segment, scratch uncommitted.
       if (DQMC_FAILPOINT_FIRE("fleet.worker.kill")) ::raise(SIGKILL);
@@ -104,38 +100,25 @@ class Worker {
         return -1;
       case FrameType::kShutdown:
         return 0;
-      case FrameType::kSteal: {
-        // No shard running: nothing to yield.
-        ShardState decline;
-        write_frame(write_fd_, FrameType::kYield, frame.shard,
-                    encode_shard_state(decline));
-        return -1;
-      }
       default:
         return -1;  // coordinator-bound frame types are never valid here
     }
   }
 
+  /// Run one chain to completion through a crowd of one, from scratch or
+  /// from the snapshot the assignment carries.
   void run_shard(std::uint32_t shard_id, const ShardState& assignment) {
     shard_id_ = shard_id;
-    shard_first_ = assignment.first;
-    partials_.clear();
-    partials_.resize(static_cast<std::size_t>(assignment.walkers));
-    sup_ = std::make_unique<CrowdSupervisor>(config_, policy_,
-                                             assignment.first,
-                                             assignment.walkers, progress_,
-                                             partials_, 0);
-    if (!assignment.checkpoints.empty()) {
-      sup_->set_resume(assignment.checkpoints, assignment.done);
-      // Re-prime the committed samples that travelled with the handoff.
-      for (std::size_t w = 0; w < assignment.partials.size(); ++w) {
-        if (!assignment.partials[w].empty()) {
-          deserialize_chain_partial(assignment.partials[w], *partials_[w]);
-        }
-      }
+    chain_ = assignment.chain;
+    sup_ = std::make_unique<CrowdSupervisor>(config_, policy_, chain_, 1,
+                                             progress_, partials_, 0);
+    if (!assignment.checkpoint.empty()) {
+      sup_->set_resume({assignment.checkpoint}, assignment.done);
+      // Re-prime the samples committed before the snapshot.
+      deserialize_chain_partial(assignment.partial, *partials_[0]);
     }
     sup_->set_boundary_hook(
-        [this](const CrowdBoundary& b) { on_boundary(b); });
+        [this](const core::CrowdBoundary& b) { on_boundary(b); });
 
     try {
       sup_->run();
@@ -144,99 +127,29 @@ class Worker {
       sup_.reset();
       return;
     }
-
-    ShardState result;
-    result.first = shard_first_;
-    result.walkers = sup_->walkers();  // yields may have shrunk the shard
-    result.done = sup_->done();
-    for (core::idx w = 0; w < sup_->walkers(); ++w) {
-      result.partials.push_back(serialize_chain_partial(
-          *partials_[static_cast<std::size_t>(w)]));
-    }
     write_frame(write_fd_, FrameType::kResult, shard_id_,
-                encode_shard_state(result));
+                encode_shard_state({chain_, sup_->done(), "",
+                                    serialize_chain_partial(*partials_[0])}));
     sup_.reset();
   }
 
-  void on_boundary(const CrowdBoundary& b) {
-    drain_control(b);
-    {
+  /// Report progress and, when the recovery checkpoint is current, ship it
+  /// as the chain's resume snapshot. Nothing else reaches a busy worker: a
+  /// write that fails means the coordinator is gone, so the worker exits
+  /// here instead of replaying the segment through the recovery ladder.
+  void on_boundary(const core::CrowdBoundary& b) {
+    try {
       std::ostringstream p;
-      hx::put_u64(p, static_cast<std::uint64_t>(sup_->done()));
-      hx::put_u64(p, static_cast<std::uint64_t>(sup_->walkers()));
+      hx::put_u64(p, static_cast<std::uint64_t>(b.done));
       write_frame(write_fd_, FrameType::kProgress, shard_id_, p.str());
-    }
-    if (b.done < b.total && sup_->checkpoint_sweep() == sup_->done()) {
-      write_frame(write_fd_, FrameType::kSnapshot, shard_id_,
-                  encode_shard_state(current_state()));
-    }
-  }
-
-  /// Resume state for the chains still owned by this shard.
-  ShardState current_state() const {
-    ShardState state;
-    state.first = shard_first_;
-    state.walkers = sup_->walkers();
-    state.done = sup_->checkpoint_sweep();
-    state.checkpoints = sup_->checkpoints();
-    for (core::idx w = 0; w < sup_->walkers(); ++w) {
-      state.partials.push_back(serialize_chain_partial(
-          *partials_[static_cast<std::size_t>(w)]));
-    }
-    return state;
-  }
-
-  /// Answer control frames that arrived while the crowd was sweeping —
-  /// first those already decoded (a steal written right behind the
-  /// assignment arrives in the same read), then whatever the pipe holds.
-  /// Only complete frames are handled; a request split across pipe reads is
-  /// answered at the next boundary.
-  void drain_control(const CrowdBoundary& b) {
-    for (;;) {
-      while (std::optional<Frame> frame = decoder_.next()) {
-        handle_mid_shard(*frame, b);
+      if (b.done < b.total && sup_->checkpoint_sweep() == b.done) {
+        const ShardState snapshot{chain_, b.done, sup_->checkpoints().front(),
+                                  serialize_chain_partial(*partials_[0])};
+        write_frame(write_fd_, FrameType::kSnapshot, shard_id_,
+                    encode_shard_state(snapshot));
       }
-      struct pollfd pfd {};
-      pfd.fd = read_fd_;
-      pfd.events = POLLIN;
-      const int rc = ::poll(&pfd, 1, 0);
-      if (rc <= 0 || !(pfd.revents & (POLLIN | POLLHUP))) break;
-      if (!read_into(read_fd_, decoder_)) ::_exit(1);  // coordinator died
-    }
-  }
-
-  void handle_mid_shard(const Frame& frame, const CrowdBoundary& b) {
-    switch (frame.type) {
-      case FrameType::kSteal: {
-        std::istringstream in(frame.payload);
-        const core::idx want = static_cast<core::idx>(hx::get_u64(in));
-        if (!b.can_split || sup_->walkers() < 2 ||
-            sup_->checkpoint_sweep() != sup_->done() || want < 1) {
-          ShardState decline;
-          write_frame(write_fd_, FrameType::kYield, shard_id_,
-                      encode_shard_state(decline));
-          return;
-        }
-        const core::idx take = std::min(want, sup_->walkers() - 1);
-        const core::idx keep = sup_->walkers() - take;
-        WalkerHandoff handoff = sup_->split_tail(take);
-        ShardState yielded;
-        yielded.first = handoff.first_chain;
-        yielded.walkers = handoff.walkers;
-        yielded.done = handoff.done;
-        yielded.checkpoints = std::move(handoff.checkpoints);
-        for (core::idx i = 0; i < take; ++i) {
-          yielded.partials.push_back(serialize_chain_partial(
-              *partials_[static_cast<std::size_t>(keep + i)]));
-        }
-        write_frame(write_fd_, FrameType::kYield, shard_id_,
-                    encode_shard_state(yielded));
-        return;
-      }
-      case FrameType::kShutdown:
-        ::_exit(0);
-      default:
-        return;
+    } catch (const FleetProtocolError&) {
+      ::_exit(1);
     }
   }
 
@@ -250,8 +163,8 @@ class Worker {
   ProgressFn progress_;
   FrameDecoder decoder_;
   std::uint32_t shard_id_ = 0;
-  core::idx shard_first_ = 0;
-  core::ChainPartials partials_;
+  core::idx chain_ = 0;
+  core::ChainPartials partials_ = core::ChainPartials(1);
   std::unique_ptr<CrowdSupervisor> sup_;
 };
 
@@ -292,7 +205,6 @@ void worker_main(const SimulationConfig& config,
     obs::ProgressOptions opt;
     opt.jsonl_path = telemetry_path;
     opt.label = "fleet-w" + std::to_string(worker_index);
-    opt.walkers = static_cast<int>(config.walker_batch);
     opt.warmup_sweeps = static_cast<std::uint64_t>(config.warmup_sweeps);
     opt.total_sweeps = static_cast<std::uint64_t>(config.warmup_sweeps +
                                                   config.measurement_sweeps);

@@ -1,12 +1,12 @@
 // Fleet worker: the child-process side of the coordinator/worker runtime.
 //
 // A worker is forked by run_fleet, speaks wire.h frames over two pipes, and
-// runs each assigned shard through the SAME CrowdSupervisor the
-// single-process path uses — per-worker fault ladder included. Between
-// committed segments (the crowd's lockstep boundaries) it drains its
-// control pipe: steal requests split the crowd's tail walkers off as a
-// bitwise handoff, and resume snapshots flow up so the coordinator can
-// replay this worker's shard elsewhere if the process dies.
+// runs each assigned shard — one chain — through the SAME CrowdSupervisor
+// the single-process path uses, as a crowd of one, per-worker fault ladder
+// included. It reads its pipe only between chains. At each committed
+// segment boundary it sends progress and a resume snapshot up, so the
+// coordinator can replay the chain elsewhere if the process dies; when
+// that send fails the coordinator is gone, and the worker exits.
 #pragma once
 
 #include "dqmc/supervisor.h"

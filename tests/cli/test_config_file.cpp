@@ -208,11 +208,13 @@ TEST(ConfigFileOverlay, FlagBeatsFileKey) {
 
 TEST(ConfigFileOverlay, DashAndUnderscoreNameTheSameKey) {
   ConfigFile dash, under;
-  dash.overlay(args_of({"prog", "--walker-batch", "4", "--fleet-steal", "0"}));
-  under.overlay(args_of({"prog", "--walker_batch=4", "--fleet_steal=0"}));
+  dash.overlay(
+      args_of({"prog", "--walker-batch", "4", "--fleet-max-reassigns", "5"}));
+  under.overlay(
+      args_of({"prog", "--walker_batch=4", "--fleet_max_reassigns=5"}));
   EXPECT_EQ(dash.entries(), under.entries());
   EXPECT_EQ(simulation_config_from(dash).walker_batch, 4);
-  EXPECT_FALSE(fleet_config_from(under).steal);
+  EXPECT_EQ(fleet_config_from(under).max_reassigns, 5);
 }
 
 TEST(ConfigFileOverlay, UnknownFlagThrowsNamingIt) {

@@ -140,7 +140,9 @@ TEST_F(FleetKillTest, HostTwoWorkersKillWorkerOne) {
 }
 
 TEST_F(FleetKillTest, HostThreeWorkers) {
-  run_kill_matrix(backend::BackendKind::kHost, 3, 1, 13);
+  // Tick 7 is sweep 7 of worker 1's first chain: a later tick could fall
+  // after its last chain, since idle workers race for the rest.
+  run_kill_matrix(backend::BackendKind::kHost, 3, 1, 7);
 }
 
 TEST_F(FleetKillTest, EarlyKillBeforeAnySnapshotReplaysFromScratch) {

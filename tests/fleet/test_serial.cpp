@@ -1,7 +1,8 @@
 // Fleet payload-serialization tests: a chain partial must survive the pipe
 // bit-for-bit — the coordinator's chain-order merge of deserialized
 // partials IS the physics, so every accumulator, counter, and hash has to
-// round-trip exactly. ShardState carries those partials plus v1 checkpoints.
+// round-trip exactly. ShardState carries one chain's partial plus its v1
+// checkpoint.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -97,29 +98,24 @@ TEST(Serial, GarbageBlobThrowsNotCrashes) {
 
 TEST(Serial, ShardStateRoundTrip) {
   ShardState state;
-  state.first = 6;
-  state.walkers = 2;
+  state.chain = 6;
   state.done = 9;
-  state.checkpoints = {"ckpt-blob-0\nwith newline", std::string("\0bin", 4)};
-  state.partials = {"partial-a", ""};
+  state.checkpoint = std::string("ckpt-blob\nwith newline\0bin", 26);
+  state.partial = "partial-a";
 
   const ShardState back = decode_shard_state(encode_shard_state(state));
-  EXPECT_EQ(back.first, state.first);
-  EXPECT_EQ(back.walkers, state.walkers);
+  EXPECT_EQ(back.chain, state.chain);
   EXPECT_EQ(back.done, state.done);
-  ASSERT_EQ(back.checkpoints.size(), state.checkpoints.size());
-  EXPECT_EQ(back.checkpoints[0], state.checkpoints[0]);
-  EXPECT_EQ(back.checkpoints[1], state.checkpoints[1]);
-  ASSERT_EQ(back.partials.size(), state.partials.size());
-  EXPECT_EQ(back.partials[0], state.partials[0]);
-  EXPECT_EQ(back.partials[1], state.partials[1]);
+  EXPECT_EQ(back.checkpoint, state.checkpoint);
+  EXPECT_EQ(back.partial, state.partial);
 }
 
 TEST(Serial, EmptyShardStateRoundTrips) {
   const ShardState back = decode_shard_state(encode_shard_state(ShardState{}));
-  EXPECT_EQ(back.walkers, 0);
-  EXPECT_TRUE(back.checkpoints.empty());
-  EXPECT_TRUE(back.partials.empty());
+  EXPECT_EQ(back.chain, 0);
+  EXPECT_EQ(back.done, 0);
+  EXPECT_TRUE(back.checkpoint.empty());
+  EXPECT_TRUE(back.partial.empty());
 }
 
 TEST(Serial, MalformedShardStateThrows) {

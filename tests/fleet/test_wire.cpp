@@ -115,6 +115,38 @@ TEST(Wire, UnknownTypeNonzeroFlagsAndOversizeLengthThrow) {
   }
 }
 
+/// A stream from a worker that sends retired frame type `type` after a
+/// valid progress frame: the decoder yields the progress frame, then fails
+/// with the io-class decode fault on which the coordinator disposes of the
+/// worker and reassigns its chain, and stays poisoned.
+void expect_retired_type_is_a_protocol_fault(std::uint16_t type) {
+  std::string retired = encode_frame(FrameType::kProgress, 0, "");
+  retired[4] = static_cast<char>(type);  // type LSB
+  FrameDecoder dec;
+  dec.feed(encode_frame(FrameType::kProgress, 0, "1") + retired);
+  EXPECT_EQ(expect_one(dec).type, FrameType::kProgress);
+  try {
+    dec.next();
+    ADD_FAILURE() << "frame type " << type << " was accepted";
+  } catch (const FleetProtocolError& e) {
+    EXPECT_STREQ(FleetProtocolError::site(), "fleet.io.decode");
+    EXPECT_EQ(FleetProtocolError::fault_class(), fault::FaultClass::kIoError);
+    EXPECT_NE(std::string(e.what()).find("unknown frame type " +
+                                         std::to_string(type)),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(dec.next(), FleetProtocolError);
+}
+
+TEST(Wire, RetiredStealFrameTypeIsAProtocolFault) {
+  expect_retired_type_is_a_protocol_fault(5);
+}
+
+TEST(Wire, RetiredYieldFrameTypeIsAProtocolFault) {
+  expect_retired_type_is_a_protocol_fault(6);
+}
+
 TEST(Wire, HeaderValidatedBeforePayloadArrives) {
   FrameDecoder dec;
   std::string header = encode_frame(FrameType::kHello, 0, "zzzz");
@@ -127,13 +159,13 @@ TEST(Wire, HeaderValidatedBeforePayloadArrives) {
 TEST(Wire, WriteAndReadThroughARealPipe) {
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
-  write_frame(fds[1], FrameType::kYield, 5, "stolen");
+  write_frame(fds[1], FrameType::kSnapshot, 5, "resume");
   FrameDecoder dec;
   ASSERT_TRUE(read_into(fds[0], dec));
   const Frame f = expect_one(dec);
-  EXPECT_EQ(f.type, FrameType::kYield);
+  EXPECT_EQ(f.type, FrameType::kSnapshot);
   EXPECT_EQ(f.shard, 5u);
-  EXPECT_EQ(f.payload, "stolen");
+  EXPECT_EQ(f.payload, "resume");
   ::close(fds[1]);
   EXPECT_FALSE(read_into(fds[0], dec));  // clean EOF
   ::close(fds[0]);
@@ -175,12 +207,11 @@ class Lcg {
 std::string random_valid_frame(Lcg& rng) {
   const FrameType types[] = {FrameType::kHello,    FrameType::kAssign,
                              FrameType::kResult,   FrameType::kSnapshot,
-                             FrameType::kSteal,    FrameType::kYield,
                              FrameType::kProgress, FrameType::kShutdown,
                              FrameType::kFail,     FrameType::kTelemetry};
   std::string payload(rng.below(64), '\0');
   for (char& c : payload) c = static_cast<char>(rng.below(256));
-  return encode_frame(types[rng.below(10)], rng.below(16), payload);
+  return encode_frame(types[rng.below(8)], rng.below(16), payload);
 }
 
 /// Feed `wire` in random chunk sizes; count frames until exhaustion or a

@@ -1,5 +1,6 @@
 # dqmc_run on bad input: an unknown flag, a malformed number, the removed
-# `measure` key, out-of-range config and supervisor values and --help each
+# `measure` key, the deleted `fleet_steal` flag and key, out-of-range config
+# and supervisor values and --help each
 # exit with status 2 and print exactly one stderr line, `dqmc_run:
 # <message>`, that names the flag or key. Input errors carry the message
 # alone: a source location ("x.cpp:") or a checked expression ("check `")
@@ -37,6 +38,10 @@ expect_rejected(walker_batch --walker-batch 0)
 expect_rejected(max_retries --max-retries -1)
 expect_rejected(cluster_size --cluster-size 0)
 expect_rejected(help --help)
+# Work stealing is deleted: its flag and key are unknown like any other.
+expect_rejected(fleet-steal --fleet-steal 0)
+file(WRITE bad_input_steal.in "fleet_workers = 2\nfleet_steal = 1\n")
+expect_rejected(fleet_steal --config bad_input_steal.in)
 set(small_run --lx 2 --beta 1 --slices 8 --warmup 1 --sweeps 2)
 expect_rejected(no_such.ckpt ${small_run} --checkpoint-in no_such.ckpt)
 file(WRITE bad_input_v2.ckpt "dqmcpp-checkpoint v2\nslices 8\nsites 4\n")

@@ -32,7 +32,7 @@ if(NOT fleet_hash STREQUAL crowd_hash)
   message(FATAL_ERROR
           "trajectory_hash differs: fleet ${fleet_hash}, crowd ${crowd_hash}")
 endif()
-string(JSON shards ERROR_VARIABLE missing GET "${fleet}" fleet shards)
+string(JSON fleet_chains ERROR_VARIABLE missing GET "${fleet}" fleet chains)
 if(missing)
   message(FATAL_ERROR "fleet manifest has no fleet section: ${missing}")
 endif()
@@ -62,4 +62,5 @@ foreach(width default 4)
   endif()
 endforeach()
 message(STATUS "trajectory_hash ${fleet_hash} on the fleet and at "
-               "walker_batch default, 2 and 4; fleet ran ${shards} shards")
+               "walker_batch default, 2 and 4; fleet ran ${fleet_chains} "
+               "chains")
