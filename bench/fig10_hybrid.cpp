@@ -10,10 +10,10 @@
 //     cost (transfers + exposed stalls only; modeled compute that the
 //     host timeline hid is not charged twice).
 // Every device second is gpusim cost-model output, not a measurement; each
-// manifest row says so in "device_seconds". The bench drives the same
-//     deferred-rebuild path the engine uses: the cluster product is formed
-//     on the device when the next evaluation first reads it, before the
-//     host stratification (the engine's boundary stack needs it at once).
+// manifest row says so in "device_seconds". As in the engine, the product
+// of the resampled cluster is formed on the device right before the host
+// stratification that reads it (the engine's boundary stack pushes it at
+// once).
 #include <vector>
 
 #include "backend/bchain.h"
@@ -81,8 +81,8 @@ int main() {
     }
 
     // Hybrid: clustering on the device (virtual clock), stratification on
-    // the host. The deferred product is formed on the device when the
-    // rotation first reads it; only the host stratification is timed.
+    // the host. The product before each boundary is re-formed on the
+    // device; only the host stratification is timed.
     double host_strat = 0.0;
     backend::BackendStats dev;
     {
@@ -97,7 +97,7 @@ int main() {
       gpusim.reset_stats();
       for (idx e = 0; e < evals; ++e) {
         const idx start = e % store.num_clusters();
-        store.defer_rebuild(start == 0 ? store.num_clusters() - 1 : start - 1);
+        store.rebuild(start == 0 ? store.num_clusters() - 1 : start - 1);
         const std::vector<const linalg::Matrix*> rotation =
             store.rotation(hubbard::Spin::Up, start);
         Stopwatch watch;

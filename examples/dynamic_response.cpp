@@ -39,18 +39,14 @@ int main(int argc, char** argv) {
   for (idx s = 0; s < warmup; ++s) engine.sweep();
 
   // Each measurement streams the time-displaced Green's functions one
-  // cluster segment at a time over the products the sweep left in the
-  // engine's cluster store; the segment buffers live in the workspace.
-  core::TimeDisplacedGreens tdg(engine.factory(), engine.field(),
-                                config.cluster_size, config.algorithm,
-                                config.qr_block);
+  // cluster segment at a time over the side the sweep stored in the
+  // engine's boundary stacks; the segment buffers live in the workspace.
   core::MeasurementWorkspace ws(lat);
   core::DynamicAccumulator acc(model.slices);
   Stopwatch watch;
   for (idx s = 0; s < sweeps; ++s) {
     engine.sweep();
-    acc.add(core::measure_dynamic(lat, model.dtau(), tdg,
-                                  engine.cluster_store(), ws),
+    acc.add(core::measure_dynamic(lat, model.dtau(), engine, ws),
             engine.config_sign());
   }
 

@@ -123,10 +123,23 @@ std::vector<idx> BackendBChain::resolve(std::vector<idx> items,
 }
 
 std::vector<Matrix> BackendBChain::cluster_product(
-    const std::vector<std::vector<Vector>>& vs, std::vector<idx> items) {
-  const idx count = static_cast<idx>(vs.size());
-  DQMC_CHECK(count >= 1);
-  items = resolve(std::move(items), vs.size());
+    const std::vector<std::vector<Vector>>& vs) {
+  std::vector<Matrix> out;
+  std::vector<MatrixView> views;
+  out.reserve(vs.size());
+  for (std::size_t i = 0; i < vs.size(); ++i) {
+    out.emplace_back(n_, n_);
+    views.push_back(out.back().view());
+  }
+  cluster_product_into(vs, views);
+  return out;
+}
+
+void BackendBChain::cluster_product_into(
+    const std::vector<std::vector<Vector>>& vs,
+    const std::vector<MatrixView>& out) {
+  DQMC_CHECK(!vs.empty() && out.size() == vs.size());
+  const std::vector<idx> items = resolve({}, vs.size());
   const std::size_t k = vs[0].size();
   DQMC_CHECK_MSG(k >= 1, "cluster_product needs at least one factor");
   for (const std::vector<Vector>& item : vs) {
@@ -134,10 +147,8 @@ std::vector<Matrix> BackendBChain::cluster_product(
                    "all chain items must have the same factor count");
     for (const Vector& v : item) DQMC_CHECK(v.size() == n_);
   }
+  for (const MatrixView& o : out) DQMC_CHECK(o.rows() == n_ && o.cols() == n_);
   enqueue_failpoint(backend_);
-  std::vector<Matrix> out;
-  out.reserve(static_cast<std::size_t>(count));
-  for (idx i = 0; i < count; ++i) out.emplace_back(n_, n_);
 
   for_entries(backend_, vs.size(), [&](std::size_t first, std::size_t cnt) {
     const std::vector<idx> sub(items.begin() + first,
@@ -187,19 +198,16 @@ std::vector<Matrix> BackendBChain::cluster_product(
       }
     }
 
-    std::vector<MatrixView> out_views;
-    for (std::size_t i = 0; i < cnt; ++i) {
-      out_views.push_back(out[first + i].view());
-    }
-    backend_.download_batched(a_const, out_views);
+    backend_.download_batched(
+        a_const, std::vector<MatrixView>(out.begin() + first,
+                                         out.begin() + first + cnt));
   });
-  return out;
 }
 
 void BackendBChain::wrap(const std::vector<MatrixView>& g,
                          const std::vector<const Vector*>& v,
                          const std::vector<char>& host_unchanged,
-                         std::vector<idx> items) {
+                         std::vector<idx> items, bool reverse) {
   items = resolve(std::move(items), g.size());
   DQMC_CHECK(v.size() == g.size() && host_unchanged.size() == g.size());
   for (std::size_t i = 0; i < g.size(); ++i) {
@@ -231,21 +239,26 @@ void BackendBChain::wrap(const std::vector<MatrixView>& g,
 
   const std::vector<MatrixHandle*> g_mut = mut(g_, items);
   const std::vector<const MatrixHandle*> g_const = cref(g_, items);
+  // Forward: B on the left, B^{-1} on the right, then the scaling; reverse:
+  // the scaling, then B^{-1} on the left and B on the right.
+  if (reverse) backend_.wrap_scale_batched(cref(v_, items), g_mut);
   if (structured()) {
-    // G_i <- B G_i B^{-1} as two structured applies over all items (left
-    // forward, right inverse) — the GEMM-free wrap.
-    backend_.kinetic_apply_batched(*kinetic_, linalg::CbSide::kLeft, false,
+    // Two structured applies over all items — the GEMM-free wrap.
+    backend_.kinetic_apply_batched(*kinetic_, linalg::CbSide::kLeft, reverse,
                                    g_mut);
-    backend_.kinetic_apply_batched(*kinetic_, linalg::CbSide::kRight, true,
-                                   g_mut);
+    backend_.kinetic_apply_batched(*kinetic_, linalg::CbSide::kRight,
+                                   !reverse, g_mut);
   } else {
-    // T_i = B * G_i (shared A), G_i = T_i * B^{-1} (shared B).
-    backend_.gemm_batched(Trans::No, Trans::No, 1.0, {b_.get()}, g_const,
-                          0.0, mut(t_, items));
-    backend_.gemm_batched(Trans::No, Trans::No, 1.0, cref(t_, items),
-                          {binv_.get()}, 0.0, g_mut);
+    // T_i = B * G_i (shared A), G_i = T_i * B^{-1} (shared B); the reverse
+    // composite swaps the two factors.
+    const MatrixHandle* left = reverse ? binv_.get() : b_.get();
+    const MatrixHandle* right = reverse ? b_.get() : binv_.get();
+    backend_.gemm_batched(Trans::No, Trans::No, 1.0, {left}, g_const, 0.0,
+                          mut(t_, items));
+    backend_.gemm_batched(Trans::No, Trans::No, 1.0, cref(t_, items), {right},
+                          0.0, g_mut);
   }
-  backend_.wrap_scale_batched(cref(v_, items), g_mut);
+  if (!reverse) backend_.wrap_scale_batched(cref(v_, items), g_mut);
   backend_.download_batched(g_const, g);
   for (const idx i : items) g_resident_[static_cast<std::size_t>(i)] = 1;
 }

@@ -55,16 +55,18 @@ class BackendBChain {
   bool structured() const { return kinetic_ != nullptr; }
 
   /// Matrix clustering: out[i] = B_{k-1} ... B_1 B_0 for entry i with
-  /// B_l = diag(vs[i][l]) * B, formed in the workspace of chain item
-  /// items[i] (default: the first vs.size() items; per-item arithmetic does
-  /// not depend on which or how many). All entries must have the same
-  /// factor count k; per level one batched V upload (pipelined behind the
-  /// previous GEMM) and one Algorithm 5 row scaling, (k-1) batched GEMMs,
-  /// one batched download — on a synchronous backend, the same sequence
-  /// per item, one task per item. On a synchronous backend, calls on
-  /// disjoint items may run concurrently.
+  /// B_l = diag(vs[i][l]) * B, formed in the workspace of chain item i
+  /// (per-item arithmetic does not depend on which item or how many). All
+  /// entries must have the same factor count k; per level one batched V
+  /// upload (pipelined behind the previous GEMM) and one Algorithm 5 row
+  /// scaling, (k-1) batched GEMMs, one batched download — on a synchronous
+  /// backend, the same sequence per item, one task per item.
   std::vector<Matrix> cluster_product(
-      const std::vector<std::vector<Vector>>& vs, std::vector<idx> items = {});
+      const std::vector<std::vector<Vector>>& vs);
+  /// The same composite downloading entry i into out[i] (n x n each), so a
+  /// caller that keeps one buffer per item allocates nothing per product.
+  void cluster_product_into(const std::vector<std::vector<Vector>>& vs,
+                            const std::vector<MatrixView>& out);
 
   /// Wrapping: g_i <- B_i g_i B_i^{-1} with B_i = diag(v_i) * B, i.e.
   /// g_i <- diag(v_i) (B g_i B^{-1}) diag(v_i)^{-1}, scaled by the
@@ -75,10 +77,16 @@ class BackendBChain {
   /// upload), then runs two structured applies (or shared-operand batched
   /// GEMMs), one batched scaling and one batched download. On a
   /// synchronous backend, calls on disjoint items may run concurrently.
+  ///
+  /// `reverse` runs the mirror composite of a sweep from beta down to 0,
+  /// g_i <- B^{-1} (diag(v_i) g_i diag(v_i)^{-1}) B: the same fused
+  /// scaling first, then the inverse apply on the left and the forward one
+  /// on the right. With v_i the inverse diagonal of slice l (e^{-sigma nu
+  /// h}), that is G(l-1) = B_l^{-1} G(l) B_l.
   void wrap(const std::vector<MatrixView>& g,
             const std::vector<const Vector*>& v,
             const std::vector<char>& host_unchanged,
-            std::vector<idx> items = {});
+            std::vector<idx> items = {}, bool reverse = false);
 
   /// Wrap uploads elided for `item` because its G was still resident
   /// (Section VI-B's "keep G on the device between wraps" optimization).

@@ -1,10 +1,7 @@
 #include "dqmc/boundary_stack.h"
 
-#include <algorithm>
-#include <cmath>
 #include <utility>
 
-#include "dqmc/cluster_store.h"
 #include "dqmc/stratification.h"
 #include "linalg/blas3.h"
 #include "linalg/diag.h"
@@ -23,6 +20,10 @@ void set_identity(MatrixView a) {
 }
 
 }  // namespace
+
+const char* sweep_direction_name(SweepDirection d) {
+  return d == SweepDirection::kUp ? "up" : "down";
+}
 
 void close_boundary(const ChainFactors& prefix, const ChainFactors& suffix,
                     MatrixView g_tautau, MatrixView g_tau0, MatrixView g_0tau,
@@ -119,125 +120,134 @@ void close_boundary(const ChainFactors& prefix, const ChainFactors& suffix,
   linalg::gemm(Trans::No, Trans::No, 1.0, *suffix.u, x_u, 0.0, g_tautau);
 }
 
-BoundaryStack::BoundaryStack(idx n, idx clusters, idx stride,
-                             StratAlgorithm algorithm, idx qr_block)
+BoundaryStack::BoundaryStack(idx n, idx clusters, StratAlgorithm algorithm,
+                             idx qr_block)
     : n_(n),
       clusters_(clusters),
-      stride_(stride),
       scratch_(std::make_shared<PushScratch>()),
-      prefix_(make_stabilizer(n, algorithm, qr_block, scratch_)),
-      suffix_(make_stabilizer(n, algorithm, qr_block, scratch_)),
-      snapshots_(static_cast<std::size_t>(clusters)),
-      kept_(static_cast<std::size_t>(clusters), 0) {
-  DQMC_CHECK(clusters >= 1 && stride >= 1);
-  for (idx j = stride; j < clusters; j += stride) {
-    UDT& snap = snapshots_[static_cast<std::size_t>(j)];
-    snap.u.resize(n, n);
-    snap.d.resize(n);
-    snap.t.resize(n, n);
+      acc_(make_stabilizer(n, algorithm, qr_block, scratch_)),
+      slots_(static_cast<std::size_t>(clusters)) {
+  DQMC_CHECK(clusters >= 1);
+  for (idx b = 1; b < clusters; ++b) {
+    UDT& slot = slots_[static_cast<std::size_t>(b)];
+    slot.u.resize(n, n);
+    slot.d.resize(n);
+    slot.t.resize(n, n);
   }
 }
 
-idx BoundaryStack::checkpoint_stride(idx m) {
-  DQMC_CHECK(m >= 1);
-  idx root = static_cast<idx>(std::sqrt(static_cast<double>(m)));
-  while (root * root > m) --root;
-  while ((root + 1) * (root + 1) <= m) ++root;
-  return (m + root - 1) / root;
+bool BoundaryStack::complete() const {
+  return boundary_ >= 0 && boundary_ == start_boundary(dir_) && !acc_->empty();
 }
 
-void BoundaryStack::rebuild(ClusterStore& store, Spin s, idx c) {
-  const idx m = clusters_;
-  DQMC_CHECK(store.num_clusters() == m);
-  DQMC_CHECK(c >= 0 && c < m);
-  boundary_ = -1;  // until the pushes below complete
-  std::fill(kept_.begin(), kept_.end(), 0);
-  suffix_->reset();
-  for (idx j = m - 1; j >= c; --j) {
-    suffix_->push_transposed(store.cluster(s, j));
-    if (j > c && j % stride_ == 0) {
-      // Copy into the slot's own buffers.
-      UDT& snap = snapshots_[static_cast<std::size_t>(j)];
-      snap.u = suffix_->u();
-      snap.d = suffix_->d();
-      snap.t = suffix_->t();
-      kept_[static_cast<std::size_t>(j)] = 1;
-    }
-  }
-  suffix_snapshot_ = -1;
-  prefix_->reset();
-  for (idx j = 0; j < c; ++j) prefix_->push(store.cluster(s, j));
-  boundary_ = c;
+void BoundaryStack::start(SweepDirection d) {
+  dir_ = d;
+  boundary_ = start_boundary(d);
+  acc_->reset();
 }
 
-void BoundaryStack::advance(ClusterStore& store, Spin s) {
-  DQMC_CHECK_MSG(boundary_ >= 0, "advance needs a positioned stack");
-  const idx m = clusters_;
-  const idx c = boundary_ + 1;
-  DQMC_CHECK(c <= m && store.num_clusters() == m);
-  boundary_ = -1;  // until the pushes below complete
-  // Snapshots below c are never read again.
-  for (idx j = 0; j < c; ++j) kept_[static_cast<std::size_t>(j)] = 0;
-  idx from = c;
-  while (from < m && !kept_[static_cast<std::size_t>(from)]) ++from;
-  suffix_snapshot_ = -1;
-  if (from == c && c < m) {
-    suffix_snapshot_ = c;  // the snapshot IS the suffix: close reads it
-  } else if (from < m) {
-    suffix_->load(snapshots_[static_cast<std::size_t>(from)]);
+idx BoundaryStack::next_cluster() const {
+  DQMC_CHECK_MSG(boundary_ >= 0, "the stack is not started");
+  return dir_ == SweepDirection::kUp ? boundary_ : boundary_ - 1;
+}
+
+void BoundaryStack::push(const Matrix& bhat) {
+  const idx b = boundary_;
+  DQMC_CHECK_MSG(b >= 0, "push needs a started stack");
+  const bool up = dir_ == SweepDirection::kUp;
+  boundary_ = -1;  // until the push below completes
+  if (b == start_boundary(dir_)) {
+    acc_->reset();  // the previous half's chain has been closed against
   } else {
-    suffix_->reset();
+    // The carried side at b is what the opposite half finds stored there.
+    UDT& slot = slots_[static_cast<std::size_t>(b)];
+    slot.u = acc_->u();
+    slot.d = acc_->d();
+    slot.t = acc_->t();
   }
-  if (suffix_snapshot_ < 0) {
-    for (idx j = from - 1; j >= c; --j) {
-      suffix_->push_transposed(store.cluster(s, j));
-    }
+  if (up) {
+    acc_->push(bhat);
+  } else {
+    acc_->push_transposed(bhat);
   }
-  prefix_->push(store.cluster(s, c - 1));
-  boundary_ = c;
+  const idx next = up ? b + 1 : b - 1;
+  if (next == start_boundary(opposite(dir_))) dir_ = opposite(dir_);
+  boundary_ = next;
 }
 
-ChainFactors BoundaryStack::prefix() const {
-  return prefix_->empty() ? ChainFactors{} : ChainFactors::of(*prefix_);
-}
-
-ChainFactors BoundaryStack::suffix() const {
-  if (suffix_snapshot_ >= 0) {
-    return ChainFactors::of(snapshots_[static_cast<std::size_t>(suffix_snapshot_)]);
+ChainFactors BoundaryStack::stored(idx b) const {
+  DQMC_CHECK(b >= 0 && b <= clusters_);
+  if (b == start_boundary(dir_)) {
+    DQMC_CHECK_MSG(!acc_->empty(), "the stack holds no chain; rebuild it");
+    return ChainFactors::of(*acc_);
   }
-  return suffix_->empty() ? ChainFactors{} : ChainFactors::of(*suffix_);
+  if (b == start_boundary(opposite(dir_))) return ChainFactors{};
+  return ChainFactors::of(slots_[static_cast<std::size_t>(b)]);
 }
 
 void BoundaryStack::close(Matrix& g) {
   DQMC_CHECK_MSG(boundary_ >= 0, "close needs a positioned stack");
+  const ChainFactors carried = boundary_ == start_boundary(dir_)
+                                   ? ChainFactors{}
+                                   : ChainFactors::of(*acc_);
+  const ChainFactors kept = stored(boundary_);
+  const bool up = dir_ == SweepDirection::kUp;
   g.resize(n_, n_);
-  close_boundary(prefix(), suffix(), g, MatrixView(), MatrixView(),
-                 scratch_->c, scratch_->work, y_);
-  ++evaluations_;
-}
-
-void BoundaryStack::close(MatrixView g_tautau, MatrixView g_tau0,
-                          MatrixView g_0tau) {
-  DQMC_CHECK_MSG(boundary_ >= 0, "close needs a positioned stack");
-  close_boundary(prefix(), suffix(), g_tautau, g_tau0, g_0tau, scratch_->c,
-                 x_, y_);
+  close_boundary(up ? carried : kept, up ? kept : carried, g, MatrixView(),
+                 MatrixView(), scratch_->c, scratch_->work, y_);
   ++evaluations_;
 }
 
 int BoundaryStack::det_sign() const {
-  DQMC_CHECK_MSG(boundary_ == 0, "det_sign needs the stack at boundary 0");
-  const ChainFactors c = suffix();
-  return graded_det_sign(*c.u, *c.d, *c.t);
+  DQMC_CHECK_MSG(complete(), "det_sign needs a complete stack");
+  return graded_det_sign(acc_->u(), acc_->d(), acc_->t());
 }
 
 StratStats BoundaryStack::stats() const {
   StratStats out;
   out.evaluations = evaluations_;
-  for (const Stabilizer* acc : {prefix_.get(), suffix_.get()}) {
-    out.steps += acc->stats().steps;
-    out.pivot_displacement += acc->stats().pivot_displacement;
-  }
+  out.steps = acc_->stats().steps;
+  out.pivot_displacement = acc_->stats().pivot_displacement;
   return out;
+}
+
+StackWalk::StackWalk(const BoundaryStack& stack, StratAlgorithm algorithm,
+                     idx qr_block)
+    : stack_(stack),
+      dir_(stack.direction()),
+      boundary_(stack.boundary()),
+      acc_(make_stabilizer(stack.n(), algorithm, qr_block)) {
+  DQMC_CHECK_MSG(stack.complete(), "a walk needs a complete stack");
+}
+
+bool StackWalk::done() const {
+  return boundary_ == stack_.start_boundary(opposite(dir_));
+}
+
+idx StackWalk::next_cluster() const {
+  DQMC_CHECK_MSG(!done(), "the walk has crossed every cluster");
+  return dir_ == SweepDirection::kUp ? boundary_ : boundary_ - 1;
+}
+
+void StackWalk::advance(const Matrix& bhat) {
+  DQMC_CHECK_MSG(!done(), "the walk has crossed every cluster");
+  if (dir_ == SweepDirection::kUp) {
+    acc_->push(bhat);
+    ++boundary_;
+  } else {
+    acc_->push_transposed(bhat);
+    --boundary_;
+  }
+}
+
+void StackWalk::close(MatrixView g_tautau, MatrixView g_tau0,
+                      MatrixView g_0tau) {
+  const ChainFactors carried =
+      acc_->empty() ? ChainFactors{} : ChainFactors::of(*acc_);
+  const ChainFactors kept = stack_.stored(boundary_);
+  const bool up = dir_ == SweepDirection::kUp;
+  close_boundary(up ? carried : kept, up ? kept : carried, g_tautau, g_tau0,
+                 g_0tau, h_, x_, y_);
 }
 
 }  // namespace dqmc::core

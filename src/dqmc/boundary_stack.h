@@ -1,29 +1,33 @@
 // Boundary stack: the equal-time Green's function at every cluster boundary
-// of a sweep from a carried prefix and a checkpointed suffix.
+// of a sweep that runs up (0 -> beta) and down (beta -> 0) in turn.
 //
 // With the m cluster products Bhat_0 ... Bhat_{m-1} of one spin, G at the
 // boundary before cluster c is (I + A_c C_c)^{-1} with the prefix
 // A_c = Bhat_{c-1} ... Bhat_0 and the suffix C_c = Bhat_{m-1} ... Bhat_c.
-// Re-stratifying the whole rotation at every boundary costs m graded pushes
-// per boundary, m^2 per sweep. The stack instead keeps
-//   * the prefix as U1 diag(d1) T1, carried from boundary to boundary: one
-//     left push of the just-rebuilt cluster per boundary;
-//   * the suffix as the graded decomposition U2 diag(d2) T2 of C^T (left
-//     pushes of Bhat_j^T, read as transposed GEMM operands), so
-//     C = T2^T diag(d2) U2^T has its orthogonal factor on the right. It is
-//     pushed once per sweep from the identity over clusters m-1 down to 0,
-//     storing a snapshot at every positive multiple of the checkpoint
-//     stride; boundary c reloads the nearest snapshot at or above c and
-//     pushes down to c;
-// and closes each boundary two-sidedly in O(1)-bounded arithmetic (see
-// close_boundary). With stride s = ceil(m / floor(sqrt m)) a sweep costs
-// m + (m - 1) + O(m^{3/2}) pushes per spin: 27 instead of 64 at m = 8.
+// Prefixes accumulate as U1 diag(d1) T1 by left pushes of Bhat_j; suffixes
+// as the graded decomposition U2 diag(d2) T2 of C^T by left pushes of
+// Bhat_j^T (read as transposed GEMM operands), so C = T2^T diag(d2) U2^T
+// has its orthogonal factor on the right.
 //
-// Every suffix is "pushes from the identity over m-1 down to c" and every
-// prefix "pushes over 0 .. c-1 from the identity"; a snapshot only memoizes
-// an intermediate state. A stack rebuilt from scratch at c is therefore
-// bitwise the stack advanced to c, which is what lets a caller carry it
-// only while it stays current and rebuild it otherwise.
+// The stack keeps one slot per interior boundary (1 .. m-1) and one
+// accumulator, Bauer's stack of partial decompositions:
+//   * going up, boundary c closes the carried prefix A_c against the suffix
+//     C_c the last down half left in slot c; crossing cluster c stores A_c
+//     in slot c and pushes Bhat_c onto the accumulator;
+//   * going down is the mirror image: boundary c closes the prefix A_c in
+//     slot c against the carried suffix C_c; crossing cluster c-1 stores
+//     C_c in slot c and pushes Bhat_{c-1}^T.
+// A half ends with the full chain in the accumulator (A_m going up, C_0
+// going down), which is what the next half's first boundary closes against
+// the identity; the stack then turns. Every product is pushed exactly once:
+// m graded pushes per spin and sweep, against m^2 for re-stratifying the
+// whole rotation at every boundary.
+//
+// Every side is "pushes from the identity in cluster order": a suffix over
+// m-1 down to c, a prefix over 0 .. c-1. A stack rebuilt from scratch
+// (start() plus m pushes) is therefore bitwise the stack a sweep leaves,
+// and a StackWalk over the stored side closes every boundary bitwise as the
+// next half will.
 #pragma once
 
 #include <cstdint>
@@ -36,10 +40,20 @@
 
 namespace dqmc::core {
 
-class ClusterStore;
 using hubbard::Spin;
 using linalg::ConstMatrixView;
 using linalg::MatrixView;
+
+/// Direction of a half sweep: kUp visits slices 0 .. L-1 (tau 0 -> beta),
+/// kDown visits L-1 .. 0.
+enum class SweepDirection : std::uint8_t { kUp, kDown };
+
+inline SweepDirection opposite(SweepDirection d) {
+  return d == SweepDirection::kUp ? SweepDirection::kDown
+                                  : SweepDirection::kUp;
+}
+/// "up" / "down" (the checkpoint spelling).
+const char* sweep_direction_name(SweepDirection d);
 
 /// One side of the chain at a boundary as the closure reads it:
 /// U diag(d) T, or the identity when u is null.
@@ -73,68 +87,100 @@ void close_boundary(const ChainFactors& prefix, const ChainFactors& suffix,
 
 class BoundaryStack {
  public:
-  /// A stack for chains of `clusters` n x n cluster products that keeps a
-  /// suffix snapshot at every positive multiple of `stride` below
-  /// `clusters`. The snapshot slots are allocated here; no buffer of the
-  /// stack is freed before the stack is.
-  BoundaryStack(idx n, idx clusters, idx stride, StratAlgorithm algorithm,
+  /// A stack for chains of `clusters` n x n cluster products. Its slots
+  /// are allocated here; no buffer of the stack is freed before the stack
+  /// is. The stack starts empty: start() and m pushes build it.
+  BoundaryStack(idx n, idx clusters, StratAlgorithm algorithm,
                 idx qr_block = linalg::kQrBlock);
 
-  /// Suffix checkpoint stride for m clusters: ceil(m / floor(sqrt m)).
-  /// Snapshots sit at its positive multiples below m: none for m <= 3, one
-  /// at m = 4 (c = 2) and m = 8 (c = 4), three at m = 16.
-  static idx checkpoint_stride(idx m);
-
-  /// Boundary the stack is positioned at; -1 when it holds nothing.
+  idx n() const { return n_; }
+  idx clusters() const { return clusters_; }
+  /// Direction of the half the stack is in.
+  SweepDirection direction() const { return dir_; }
+  /// Boundary the stack sits at; -1 when it holds nothing (before start(),
+  /// or after a push that threw).
   idx boundary() const { return boundary_; }
+  /// First boundary of a half in direction d: 0 going up, m going down.
+  idx start_boundary(SweepDirection d) const {
+    return d == SweepDirection::kUp ? 0 : clusters_;
+  }
+  /// True at the first boundary of a half with the full chain held: the
+  /// state a completed half (or a rebuild) leaves.
+  bool complete() const;
 
-  /// Position at boundary c of spin s's chain in `store` from scratch: the
-  /// suffix pushed from the identity over clusters m-1 down to c, keeping
-  /// the snapshots above c, then the prefix pushed over clusters 0 .. c-1.
-  void rebuild(ClusterStore& store, Spin s, idx c);
+  /// Drop everything and sit at the first boundary of a d-half with
+  /// nothing carried: m pushes from here (in d's cluster order) rebuild
+  /// the stack from scratch, ending complete at the start of the opposite
+  /// half.
+  void start(SweepDirection d);
 
-  /// Move to boundary c = boundary() + 1 (at most m, the empty-suffix
-  /// edge): the suffix from the nearest snapshot at or above c (or the
-  /// identity) pushed down to c, the prefix by one push of Bhat_{c-1}.
-  /// Valid only while no cluster but c-1 changed since the stack reached
-  /// c-1; bitwise equal to rebuild(store, s, c) then.
-  void advance(ClusterStore& store, Spin s);
+  /// Cross the next cluster of the half: going up from boundary c, Bhat_c
+  /// (keeping A_c in slot c); going down from boundary c, Bhat_{c-1}
+  /// (keeping C_c in slot c). At the half's far end the stack turns.
+  void push(const Matrix& bhat);
+  /// The cluster the next push crosses.
+  idx next_cluster() const;
 
   /// Equal-time G = (I + A C)^{-1} at the current boundary into g (sized
   /// n x n), computed in the push scratch.
   void close(Matrix& g);
 
-  /// All three families at the current boundary (the time-displaced walk).
-  void close(MatrixView g_tautau, MatrixView g_tau0, MatrixView g_0tau);
-
-  /// Sign of det(I + C) at boundary 0, where the prefix is empty and the
-  /// suffix is the graded decomposition of C^T: det(I + C) = det(I + C^T).
+  /// Sign of det(I + chain) for the full chain a complete stack holds
+  /// (det(I + C^T) = det(I + C) for a stored suffix).
   int det_sign() const;
+
+  /// The side a half in this stack's direction finds stored at boundary b
+  /// (the suffix going up, the prefix going down): the full chain at the
+  /// first boundary, the identity at the far end, slot b in between. Valid
+  /// at the current boundary, and at every boundary while complete().
+  ChainFactors stored(idx b) const;
 
   /// Closures (evaluations) and pushes (steps) since construction.
   StratStats stats() const;
 
  private:
-  ChainFactors suffix() const;
-  ChainFactors prefix() const;
-
   idx n_;
   idx clusters_;
-  idx stride_;
+  SweepDirection dir_ = SweepDirection::kUp;
   idx boundary_ = -1;
-  // Snapshot the current suffix closes from, or -1 for the accumulator.
-  idx suffix_snapshot_ = -1;
   std::uint64_t evaluations_ = 0;
-  // Push scratch shared by the prefix and suffix accumulators; the closure
-  // runs in it as well. Every buffer lives as long as the stack: freeing
-  // and re-forming them each sweep, on whichever pool thread runs the spin,
-  // fragmented the heap and raised the peak resident set of a walker crowd.
+  // Push scratch of the accumulator; the closure runs in it as well.
   std::shared_ptr<PushScratch> scratch_;
-  std::unique_ptr<Stabilizer> prefix_;
-  std::unique_ptr<Stabilizer> suffix_;
-  std::vector<UDT> snapshots_;  ///< [cluster]; sized at multiples of stride_
-  std::vector<char> kept_;
-  Matrix x_, y_;  ///< right-hand sides and G(0,l) scratch (displaced closure)
+  std::unique_ptr<Stabilizer> acc_;
+  std::vector<UDT> slots_;  ///< [boundary]; sized for 1 .. m-1
+  Matrix y_;                ///< unused G(0,l) scratch of the closure
+};
+
+/// A walk over the stored side of a complete stack: it starts at the first
+/// boundary of the stack's next half and crosses the clusters in that
+/// half's order, carrying the other side in its own accumulator, without
+/// touching the stack. Each closure is bitwise the one the half itself
+/// would make at that boundary on the same field. The time-displaced
+/// measurement walks this way (all three families at every boundary).
+class StackWalk {
+ public:
+  /// `stack` must be complete() and outlive the walk; `algorithm` and
+  /// `qr_block` must be the stack's for the bitwise guarantee.
+  StackWalk(const BoundaryStack& stack, StratAlgorithm algorithm,
+            idx qr_block = linalg::kQrBlock);
+
+  idx boundary() const { return boundary_; }
+  /// True once the walk has crossed every cluster.
+  bool done() const;
+  /// The cluster the next advance() crosses.
+  idx next_cluster() const;
+  /// Cross it: push its product onto the carried side.
+  void advance(const Matrix& bhat);
+  /// The three families at the current boundary (g_tau0 / g_0tau may be
+  /// empty views).
+  void close(MatrixView g_tautau, MatrixView g_tau0, MatrixView g_0tau);
+
+ private:
+  const BoundaryStack& stack_;
+  SweepDirection dir_;
+  idx boundary_;
+  std::unique_ptr<Stabilizer> acc_;
+  Matrix h_, x_, y_;
 };
 
 }  // namespace dqmc::core

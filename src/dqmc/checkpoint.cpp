@@ -18,6 +18,7 @@ constexpr const char* kMagic = "dqmcpp-checkpoint";
 struct Saved {
   std::uint64_t rng[4] = {};
   int sign = 0;
+  SweepDirection direction = SweepDirection::kUp;
   HSField field;
 };
 
@@ -48,13 +49,13 @@ void expect_key(std::istream& in, const std::string& key) {
                    "malformed checkpoint (" + key + ")");
 }
 
-/// Parse a v1 checkpoint for `slices` x `sites`.
+/// Parse a v3 checkpoint for `slices` x `sites`.
 Saved parse(std::istream& in, idx slices, idx sites) {
   std::string magic, version;
   in >> magic >> version;
   DQMC_CHECK_INPUT(in && magic == kMagic, "not a dqmcpp checkpoint");
-  DQMC_CHECK_INPUT(version == "v1", "unsupported checkpoint version " +
-                                        version + " (only v1 is read)");
+  DQMC_CHECK_INPUT(version == "v3", "unsupported checkpoint version " +
+                                        version + " (only v3 is read)");
   expect_key(in, "slices");
   const idx file_slices = next_number<idx>(in, "slices");
   expect_key(in, "sites");
@@ -77,6 +78,13 @@ Saved parse(std::istream& in, idx slices, idx sites) {
   saved.sign = next_number<int>(in, "sign");
   DQMC_CHECK_INPUT(saved.sign == 1 || saved.sign == -1,
                    "malformed checkpoint (sign)");
+
+  expect_key(in, "direction");
+  const std::string direction = next_token(in, "direction");
+  DQMC_CHECK_INPUT(direction == "up" || direction == "down",
+                   "malformed checkpoint (direction)");
+  saved.direction =
+      direction == "up" ? SweepDirection::kUp : SweepDirection::kDown;
 
   expect_key(in, "field");
   for (idx l = 0; l < slices; ++l) {
@@ -101,13 +109,14 @@ Saved parse(std::istream& in, idx slices, idx sites) {
 
 void save_checkpoint(std::ostream& out, DqmcEngine& engine) {
   DQMC_FAILPOINT("checkpoint.save");
-  out << kMagic << " v1\n";
+  out << kMagic << " v3\n";
   out << "slices " << engine.slices() << "\n";
   out << "sites " << engine.n() << "\n";
   std::uint64_t s[4];
   engine.rng().state(s);
   out << "rng " << s[0] << " " << s[1] << " " << s[2] << " " << s[3] << "\n";
   out << "sign " << engine.config_sign() << "\n";
+  out << "direction " << sweep_direction_name(engine.direction()) << "\n";
   out << "field\n";
   const HSField& field = engine.field();
   for (idx l = 0; l < field.slices(); ++l) {
@@ -134,7 +143,7 @@ void load_checkpoint(std::istream& in, DqmcEngine& engine) {
   Saved saved = parse(in, engine.slices(), engine.n());
   engine.field() = std::move(saved.field);
   engine.rng().set_state(saved.rng);
-  engine.resume();
+  engine.resume(saved.direction);
   // resume() recomputes the sign from the field; it must agree with the
   // recorded one (a mismatch indicates corruption).
   DQMC_CHECK_INPUT(engine.config_sign() == saved.sign,

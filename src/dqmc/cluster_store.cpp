@@ -15,7 +15,6 @@ ClusterStore::ClusterStore(const BMatrixFactory& factory, const HSField& field,
   num_clusters_ = (field.slices() + cluster_size - 1) / cluster_size;
   for (auto& v : clusters_)
     v.assign(static_cast<std::size_t>(num_clusters_), Matrix());
-  stamp_.assign(static_cast<std::size_t>(num_clusters_), 0);
 }
 
 idx ClusterStore::cluster_end(idx c) const {
@@ -23,23 +22,12 @@ idx ClusterStore::cluster_end(idx c) const {
 }
 
 void ClusterStore::attach_backend(backend::BackendBChain* up,
-                                  backend::BackendBChain* dn, idx up_item,
-                                  idx dn_item) {
+                                  backend::BackendBChain* dn) {
   DQMC_CHECK_MSG((up == nullptr) == (dn == nullptr),
                  "attach_backend needs both spin chains or neither");
-  if (up) {
-    DQMC_CHECK(up->n() == factory_.n() && dn->n() == factory_.n());
-    DQMC_CHECK(up_item >= 0 && up_item < up->items());
-    DQMC_CHECK(dn_item >= 0 && dn_item < dn->items());
-    // One composite forms both spins' products, each in its item's
-    // workspace.
-    DQMC_CHECK_MSG(up != dn || up_item != dn_item,
-                   "attach_backend needs a chain item per spin");
-  }
+  if (up) DQMC_CHECK(up->n() == factory_.n() && dn->n() == factory_.n());
   chain_[0] = up;
   chain_[1] = dn;
-  item_[0] = up_item;
-  item_[1] = dn_item;
 }
 
 std::vector<linalg::Vector> ClusterStore::diagonals(Spin s, idx c) const {
@@ -49,117 +37,70 @@ std::vector<linalg::Vector> ClusterStore::diagonals(Spin s, idx c) const {
   return vs;
 }
 
-Matrix ClusterStore::product(Spin s, idx c) const {
-  const int si = spin_index(s);
-  if (chain_[si]) {
-    return std::move(
-        chain_[si]->cluster_product({diagonals(s, c)}, {item_[si]})[0]);
-  }
-  const idx begin = cluster_begin(c), end = cluster_end(c);
-  Matrix prod = factory_.make_b(field_.slice(begin), s);
-  Matrix next(factory_.n(), factory_.n());
-  for (idx l = begin + 1; l < end; ++l) {
-    // prod <- B_l * prod (a kinetic apply + row scaling via the factory).
-    factory_.apply_b_left(field_.slice(l), s, prod, next);
-    std::swap(prod, next);
-  }
-  return prod;
-}
-
-void ClusterStore::form(idx c, Profiler* prof, std::uint64_t calls) {
-  ScopedPhase phase(prof, Phase::kClustering, calls);
-  phase.arg("cluster", static_cast<double>(c));
-  const auto slot = static_cast<std::size_t>(c);
-  if (chain_[0] != nullptr && chain_[0] == chain_[1]) {
-    // One chain serves both spins: one two-item composite. Per item this is
-    // the arithmetic of product().
-    std::vector<Matrix> out = chain_[0]->cluster_product(
-        {diagonals(Spin::Up, c), diagonals(Spin::Down, c)},
-        {item_[0], item_[1]});
-    for (int si = 0; si < 2; ++si) {
-      clusters_[si][slot] = std::move(out[static_cast<std::size_t>(si)]);
-    }
-  } else {
-    for (Spin s : hubbard::kSpins) {
-      clusters_[spin_index(s)][slot] = product(s, c);
-    }
-  }
-  const double seconds = phase.close();
+void record_cluster_products(const BMatrixFactory& factory, idx factors,
+                             double seconds) {
   obs::MetricsRegistry& reg = obs::metrics();
-  const idx len = cluster_end(c) - cluster_begin(c);
-  if (reg.enabled() && seconds > 0.0 && len > 1) {
-    const idx n = factory_.n();
+  reg.count("cluster.rebuilds");
+  if (reg.enabled() && seconds > 0.0 && factors > 1) {
+    const idx n = factory.n();
     const double flops = 2.0 * backend::cluster_product_flops(
-                                   n, len, factory_.kinetic().apply_flops(n));
+                                   n, factors, factory.kinetic().apply_flops(n));
     reg.observe("cluster.gflops", flops / seconds / 1e9);
   }
 }
 
-void ClusterStore::touch(idx c) {
-  stamp_[static_cast<std::size_t>(c)] = ++revision_;
+void form_cluster_product(const BMatrixFactory& factory, const HSField& field,
+                          Spin s, idx begin, idx end, Matrix& out,
+                          Matrix& work) {
+  DQMC_CHECK(begin < end);
+  const idx n = factory.n();
+  out = factory.make_b(field.slice(begin), s);
+  work.resize(n, n);
+  for (idx l = begin + 1; l < end; ++l) {
+    // out <- B_l * out (a kinetic apply + row scaling via the factory).
+    factory.apply_b_left(field.slice(l), s, out, work);
+    std::swap(out, work);
+  }
 }
 
 void ClusterStore::rebuild(idx c, Profiler* prof) {
   DQMC_CHECK(c >= 0 && c < num_clusters_);
-  materialize();
-  form(c, prof, 1);
-  touch(c);
-  obs::metrics().count("cluster.rebuilds");
+  ScopedPhase phase(prof, Phase::kClustering);
+  phase.arg("cluster", static_cast<double>(c));
+  for (Spin s : hubbard::kSpins) {
+    const int si = spin_index(s);
+    Matrix& prod = clusters_[si][static_cast<std::size_t>(c)];
+    if (chain_[si]) {
+      prod = std::move(chain_[si]->cluster_product({diagonals(s, c)})[0]);
+    } else {
+      Matrix work;
+      form_cluster_product(factory_, field_, s, cluster_begin(c),
+                           cluster_end(c), prod, work);
+    }
+  }
+  record_cluster_products(factory_, cluster_end(c) - cluster_begin(c),
+                          phase.close());
 }
 
 void ClusterStore::rebuild_all(Profiler* prof) {
   for (idx c = 0; c < num_clusters_; ++c) rebuild(c, prof);
 }
 
-void ClusterStore::defer_rebuild(idx c) {
+const Matrix& ClusterStore::cluster(Spin s, idx c) const {
   DQMC_CHECK(c >= 0 && c < num_clusters_);
-  materialize();
-  stale_ = c;
-  ++unbilled_;
-  touch(c);
-  obs::metrics().count("cluster.rebuilds");
-}
-
-void ClusterStore::materialize(Profiler* prof) {
-  const std::uint64_t calls = prof ? std::exchange(unbilled_, 0) : 0;
-  if (stale_ >= 0) {
-    form(stale_, prof, calls);
-    stale_ = -1;
-  } else if (calls > 0) {
-    // A reader formed it and its bracket holds the time: bill the calls.
-    ScopedPhase phase(prof, Phase::kClustering, calls);
-  }
-}
-
-const Matrix& ClusterStore::cluster(Spin s, idx c) {
-  DQMC_CHECK(c >= 0 && c < num_clusters_);
-  if (stale_ == c) materialize();
   const Matrix& m = clusters_[spin_index(s)][static_cast<std::size_t>(c)];
   DQMC_CHECK_MSG(!m.empty(), "cluster not built; call rebuild_all first");
   return m;
 }
 
-std::vector<const Matrix*> ClusterStore::rotation(Spin s, idx start) {
+std::vector<const Matrix*> ClusterStore::rotation(Spin s, idx start) const {
   DQMC_CHECK(start >= 0 && start < num_clusters_);
-  materialize();
   std::vector<const Matrix*> order;
   order.reserve(static_cast<std::size_t>(num_clusters_));
   for (idx i = 0; i < num_clusters_; ++i) {
-    const idx c = (start + i) % num_clusters_;
-    const Matrix& m = clusters_[spin_index(s)][static_cast<std::size_t>(c)];
-    DQMC_CHECK_MSG(!m.empty(), "cluster not built; call rebuild_all first");
-    order.push_back(&m);
+    order.push_back(&cluster(s, (start + i) % num_clusters_));
   }
   return order;
-}
-
-bool ClusterStore::unchanged_since(std::uint64_t since, idx except) const {
-  for (idx c = 0; c < num_clusters_; ++c) {
-    if (c != except && stamp_[static_cast<std::size_t>(c)] > since) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace dqmc::core

@@ -1,22 +1,16 @@
-// Matrix clustering with cross-sweep recycling (Sections III-A2, III-B2).
+// Matrix clustering (Sections III-A2, III-B2): k consecutive B-matrices
+// grouped into cluster products Bhat_c = B_{ck+k-1} ... B_{ck} (per spin),
+// cutting the number of graded QR steps by k.
 //
-// Groups k consecutive B-matrices into cluster products
-// Bhat_c = B_{ck+k-1} ... B_{ck} (per spin), cutting the number of graded QR
-// steps by k. The clusters are CACHED: a full sweep only changes the slices
-// of one cluster at a time, so only that cluster is rebuilt (the paper's
-// recycling optimization, eq. (5)). With a backend chain attached the
-// products are computed through the ComputeBackend (Section VI-A).
-//
-// defer_rebuild marks a cluster stale instead of rebuilding it: the next
-// materialize() — or the first reader of the pending product — forms both
-// spins' products, as one composite when one chain serves both spins. The
-// store is single-threaded: readers on several threads (the engine's two
-// spin tasks) must find nothing pending, so the engine materializes first.
-// A revision counter records which clusters changed when, so a boundary
-// stack can tell whether its carried state is still current.
+// The store keeps every product of a rotation, for the readers that need a
+// whole one: the full-rotation StratificationEngine reference and the
+// benches that time it. The engine keeps none (it pushes each product
+// onto its boundary stacks as soon as it is formed, engine.h), and neither
+// does the time-displaced walk (form_cluster_product). With a backend
+// chain attached the products are computed through the ComputeBackend
+// (Section VI-A).
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "backend/bchain.h"
@@ -49,13 +43,11 @@ class ClusterStore {
   idx cluster_of(idx s) const { return s / cluster_size_; }
 
   /// Route cluster products through backend chains (B resident on the
-  /// backend): spin up's through item `up_item` of `up`, spin down's through
-  /// item `dn_item` of `dn` — one chain serves both when the items differ,
-  /// and then forms both spins' products in one composite. The chains must
-  /// wrap the same B as `factory` and outlive the store; nulls disable the
-  /// backend path.
-  void attach_backend(backend::BackendBChain* up, backend::BackendBChain* dn,
-                      idx up_item = 0, idx dn_item = 0);
+  /// backend): spin up's through `up`, spin down's through `dn` (item 0 of
+  /// each; the spins are formed one after the other, so one chain may serve
+  /// both). The chains must wrap the same B as `factory` and outlive the
+  /// store; nulls disable the backend path.
+  void attach_backend(backend::BackendBChain* up, backend::BackendBChain* dn);
   bool backend_attached() const { return chain_[0] != nullptr; }
 
   /// Recompute cluster c for both spins from the current field (blocking),
@@ -64,62 +56,37 @@ class ClusterStore {
   /// Recompute everything (initialization and after global field changes).
   void rebuild_all(Profiler* prof = nullptr);
 
-  /// Deferred rebuild: cluster c is stale from now on, and the next
-  /// materialize() or reader of its product forms it from the field as it
-  /// stands then. The caller must not change the slices of cluster c
-  /// before the product is formed.
-  void defer_rebuild(idx c);
-  /// Form the pending deferred product now (a no-op when nothing is
-  /// pending). With a profiler this is one Phase::kClustering bracket
-  /// billing one call per deferred rebuild since the last such bracket: a
-  /// product a reader formed earlier (cluster(), rotation(), materialize()
-  /// without a profiler) bills its call here and its time in the reader's
-  /// own bracket.
-  void materialize(Profiler* prof = nullptr);
-
-  /// Cluster product Bhat_c (forms a pending deferred product of c first).
-  const Matrix& cluster(Spin s, idx c);
+  /// Cluster product Bhat_c.
+  const Matrix& cluster(Spin s, idx c) const;
 
   /// Factor sequence for the Green's function at the boundary BEFORE
   /// cluster `start`: rightmost-first order
   /// [Bhat_start, Bhat_{start+1}, ..., Bhat_{start-1}] (cyclic).
-  /// Forms any pending product up front.
-  std::vector<const Matrix*> rotation(Spin s, idx start);
-
-  /// Bumped whenever a cluster's product changes (rebuild, deferred
-  /// rebuild).
-  std::uint64_t revision() const { return revision_; }
-  /// True when no cluster other than `except` changed after revision()
-  /// read `since`.
-  bool unchanged_since(std::uint64_t since, idx except) const;
+  std::vector<const Matrix*> rotation(Spin s, idx start) const;
 
  private:
   /// The V diagonals of cluster c's slices for spin s, in slice order.
   std::vector<linalg::Vector> diagonals(Spin s, idx c) const;
-  /// Spin s's product of cluster c on its own (chain item or factory).
-  Matrix product(Spin s, idx c) const;
-  /// Form both spins' products of cluster c into the cache inside a
-  /// Phase::kClustering bracket of `calls` calls on `prof`.
-  void form(idx c, Profiler* prof, std::uint64_t calls);
-  void touch(idx c);
 
   const BMatrixFactory& factory_;
   const HSField& field_;
   idx cluster_size_;
   idx num_clusters_;
   backend::BackendBChain* chain_[2] = {nullptr, nullptr};
-  idx item_[2] = {0, 0};
   std::vector<Matrix> clusters_[2];  // [spin][cluster]
-
-  // The cluster whose deferred product is pending, or -1; and the deferred
-  // rebuilds whose clustering call no profiler was billed yet.
-  idx stale_ = -1;
-  std::uint64_t unbilled_ = 0;
-
-  // revision_ counts product changes; stamp_[c] is the revision of cluster
-  // c's latest change.
-  std::uint64_t revision_ = 0;
-  std::vector<std::uint64_t> stamp_;
 };
+
+/// Metrics of one formation of both spins' products of a cluster of
+/// `factors` slices that took `seconds`: the `cluster.rebuilds` count and,
+/// when timed, the `cluster.gflops` rate.
+void record_cluster_products(const BMatrixFactory& factory, idx factors,
+                             double seconds);
+
+/// Spin s's product B_{end-1} ... B_begin of the slices [begin, end) of
+/// `field` through the factory's appliers into `out` (n x n; `work` is n x n
+/// scratch): bitwise what a structured BackendBChain forms.
+void form_cluster_product(const BMatrixFactory& factory, const HSField& field,
+                          Spin s, idx begin, idx end, Matrix& out,
+                          Matrix& work);
 
 }  // namespace dqmc::core

@@ -66,17 +66,13 @@ std::vector<SweepStats> CrowdMeasurements::sweep(WalkerBatch& batch, idx m) {
   if (config_.measure_dynamic_interval > 0 &&
       m % config_.measure_dynamic_interval == 0) {
     // Both spins' time-displaced Green's functions streamed segment by
-    // segment over the cluster products the sweep just left in the
-    // engine's store, billed to the walker's measurement phase.
+    // segment over the side the sweep just stored in the engine's boundary
+    // stacks, billed to the walker's measurement phase.
     for (idx w = 0; w < walkers; ++w) {
       DqmcEngine& engine = batch.engine(w);
       ScopedPhase phase(&engine.profiler(), Phase::kMeasurement);
-      const TimeDisplacedGreens tdg(
-          engine.factory(), engine.field(), config_.engine.cluster_size,
-          config_.engine.algorithm, config_.engine.qr_block);
       dynamic_[static_cast<std::size_t>(w)].emplace_back(
-          measure_dynamic(lattice_, config_.model.dtau(), tdg,
-                          engine.cluster_store(), ws(w)),
+          measure_dynamic(lattice_, config_.model.dtau(), engine, ws(w)),
           engine.config_sign());
     }
   }

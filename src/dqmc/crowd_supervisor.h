@@ -9,7 +9,7 @@
 // makes the fleet's bitwise-equivalence contract provable rather than
 // aspirational. A fleet shard is one chain, run as a crowd of one. For the
 // fleet it has two hooks:
-//   * set_resume(): start from per-walker v1 checkpoints + committed-sweep
+//   * set_resume(): start from per-walker checkpoints + committed-sweep
 //     count instead of initialize() — how a shard moves between processes;
 //   * a boundary hook fired after every committed segment — the fleet
 //     worker reports progress and ships resume snapshots there.
@@ -89,7 +89,7 @@ class CrowdSupervisor {
                   const ProgressFn& progress, ChainPartials& partials,
                   idx partials_offset);
 
-  /// Start from per-walker v1 checkpoints captured at sweep boundary `done`
+  /// Start from per-walker checkpoints captured at sweep boundary `done`
   /// instead of initialize(): the crowd resumes as if it had committed
   /// `done` sweeps already. The caller is responsible for priming the
   /// partials with the samples committed before the handoff (their
@@ -109,9 +109,15 @@ class CrowdSupervisor {
   }
   /// Sweep boundary the current recovery checkpoints capture.
   idx checkpoint_sweep() const { return ckpt_sweep_; }
-  /// Per-walker v1 checkpoints at checkpoint_sweep() (empty before the
+  /// Per-walker checkpoints at checkpoint_sweep() (empty before the
   /// first boundary).
   const std::vector<std::string>& checkpoints() const { return ckpts_; }
+  /// Walker w's phase profile so far: its engine's, which covers this
+  /// crowd's work only (a resumed chain's earlier profile travels in its
+  /// partial). Valid while run() is on.
+  const Profiler& engine_profile(idx w) {
+    return batch_->engine(w).profiler();
+  }
 
  private:
   std::size_t index(idx w) const {
@@ -159,7 +165,7 @@ class CrowdSupervisor {
   std::unique_ptr<WalkerBatch> batch_;
   idx done_ = 0;
   idx ckpt_sweep_ = 0;
-  std::vector<std::string> ckpts_;  ///< per-walker v1 ckpts at ckpt_sweep_
+  std::vector<std::string> ckpts_;  ///< per-walker ckpts at ckpt_sweep_
   bool resume_ = false;  ///< start_batch loads ckpts_ instead of initialize
   std::string checkpoint_in_;  ///< checkpoint_in's text (empty: none)
   CrowdBoundaryFn boundary_;

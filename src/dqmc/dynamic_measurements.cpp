@@ -14,10 +14,12 @@ namespace {
 /// fixed serial chain, so the measurement is bitwise at any thread count.
 constexpr par::ForOptions kSliceOptions{.grain = 1};
 
-/// Gloc(tau_l) and chi_AF(tau_l) for one slice.
+/// Gloc(tau_l) for one slice, and the two parts of chi_AF(tau_l): the
+/// staggered magnetization at tau_l (stag_mt[l]; its product with the one
+/// at tau = 0 is the disconnected part) and the connected part (conn[l]).
 void measure_slice_local(const MeasurementWorkspace& ws, idx l,
                          const DisplacedSlice& up, const DisplacedSlice& dn,
-                         double stag_m0, DynamicSample& out) {
+                         DynamicSample& out, Vector& stag_mt, Vector& conn) {
   const idx n = ws.n;
   const Matrix& gu10 = *up.g_tau0;
   const Matrix& gd10 = *dn.g_tau0;
@@ -30,23 +32,23 @@ void measure_slice_local(const MeasurementWorkspace& ws, idx l,
   out.gloc[l] = tr / static_cast<double>(n);
 
   // Disconnected (staggered magnetization) part.
-  double stag_mt = 0.0;
+  double stag = 0.0;
   for (idx i = 0; i < n; ++i) {
     const double mi = dn.tautau(i) - up.tautau(i);
-    stag_mt += ws.eps[i] * mi;
+    stag += ws.eps[i] * mi;
   }
-  double chi = stag_mt * stag_m0;
+  stag_mt[l] = stag;
 
   // Connected same-spin part:
   // sum_{ij} eps_i eps_j (-G(0,l)_{ji}) G(l,0)_{ij}, both spins.
-  double conn = 0.0;
+  double c = 0.0;
   for (idx j = 0; j < n; ++j) {
     for (idx i = 0; i < n; ++i) {
       const double phase = ws.eps[i] * ws.eps[j];
-      conn -= phase * (gu01(j, i) * gu10(i, j) + gd01(j, i) * gd10(i, j));
+      c -= phase * (gu01(j, i) * gu10(i, j) + gd01(j, i) * gd10(i, j));
     }
   }
-  out.chi_af[l] = (chi + conn) / static_cast<double>(n);
+  conn[l] = c;
 }
 
 /// In-plane displacement table of one slice, gathered into
@@ -74,15 +76,17 @@ void gather_slice_plane(MeasurementWorkspace& ws, idx l,
   for (idx p = 0; p < plane; ++p) f[p] /= static_cast<double>(n);
 }
 
-/// The dynamic observables of one configuration, fed slices in order, one
-/// segment [begin, end) at a time. Every slice runs the same arithmetic
-/// however the slices are segmented, so a streamed walk and a stored one
-/// give the same bits. Each segment's slices run in parallel (one slice per
-/// task, disjoint outputs, so bitwise at any thread count), and all L + 1
-/// gathered planes are projected in one batch at the end.
+/// The dynamic observables of one configuration, fed one segment [begin,
+/// end) of slices at a time, in any order. Every slice runs the same
+/// arithmetic however the slices are segmented or ordered, so a streamed
+/// walk (up or down) and a stored one give the same bits. Each segment's
+/// slices run in parallel (one slice per task, disjoint outputs, so bitwise
+/// at any thread count); chi_AF's disconnected part, which needs tau = 0,
+/// and all L + 1 gathered planes are finished in one batch at the end.
 class DynamicMeasure {
  public:
-  DynamicMeasure(MeasurementWorkspace& ws, idx nl) : ws_(ws), nl_(nl) {
+  DynamicMeasure(MeasurementWorkspace& ws, idx nl)
+      : ws_(ws), nl_(nl), stag_mt_(Vector::zero(nl)), conn_(Vector::zero(nl)) {
     out_.gloc = Vector::zero(nl);
     out_.chi_af = Vector::zero(nl);
     const idx plane = ws.transform.plane_size();
@@ -93,26 +97,24 @@ class DynamicMeasure {
   /// `slices(l)` yields {up, dn} of slice l, for begin <= l < end.
   template <class Slices>
   void segment(idx begin, idx end, const Slices& slices) {
-    if (begin == 0) {
-      // m_j(0) from the l = 0 equal-time Green's functions.
-      const auto [up, dn] = slices(0);
-      for (idx j = 0; j < ws_.n; ++j) {
-        ws_.m0[j] = dn.tautau(j) - up.tautau(j);  // n_up - n_dn
-      }
-      stag_m0_ = 0.0;
-      for (idx j = 0; j < ws_.n; ++j) stag_m0_ += ws_.eps[j] * ws_.m0[j];
-    }
     par::parallel_for(
         begin, end,
         [&](par::index_t l) {
           const auto [up, dn] = slices(l);
-          measure_slice_local(ws_, l, up, dn, stag_m0_, out_);
+          measure_slice_local(ws_, l, up, dn, out_, stag_mt_, conn_);
           gather_slice_plane(ws_, l, up, dn);
         },
         kSliceOptions);
   }
 
   DynamicSample finish(double dtau) {
+    // chi_AF(tau_l) = (m_stag(tau_l) m_stag(0) + connected) / N, with
+    // m_stag(0) = sum_j eps_j m_j(0) from the l = 0 slice.
+    const double stag_m0 = stag_mt_[0];
+    for (idx l = 0; l < nl_; ++l) {
+      out_.chi_af[l] =
+          (stag_mt_[l] * stag_m0 + conn_[l]) / static_cast<double>(ws_.n);
+    }
     // gk_tau's columns are the per-slice momentum rows (column-major,
     // ld == num momenta).
     const idx plane = ws_.transform.plane_size();
@@ -128,7 +130,7 @@ class DynamicMeasure {
  private:
   MeasurementWorkspace& ws_;
   idx nl_;
-  double stag_m0_ = 0.0;
+  Vector stag_mt_, conn_;  ///< chi_AF's two parts per slice
   DynamicSample out_;
 };
 
@@ -162,17 +164,21 @@ DynamicSample measure_dynamic(const Lattice& lattice, double dtau,
 }
 
 DynamicSample measure_dynamic(const Lattice& lattice, double dtau,
-                              const TimeDisplacedGreens& tdg,
-                              ClusterStore& store, MeasurementWorkspace& ws) {
+                              DqmcEngine& engine, MeasurementWorkspace& ws) {
+  const EngineConfig& c = engine.config();
+  const TimeDisplacedGreens tdg(engine.factory(), engine.field(),
+                                c.cluster_size, c.algorithm, c.qr_block);
   const idx nl = tdg.slices() + 1;
   DQMC_CHECK(nl >= 2);
   check_workspace(lattice, ws);
   DynamicMeasure measure(ws, nl);
-  tdg.stream(store, ws.displaced, [&](const DisplacedSegment& seg) {
-    measure.segment(seg.begin, seg.end, [&](idx l) {
-      return std::array{seg.slice(Spin::Up, l), seg.slice(Spin::Down, l)};
-    });
-  });
+  tdg.stream(engine.stored_stacks(), ws.displaced,
+             [&](const DisplacedSegment& seg) {
+               measure.segment(seg.begin, seg.end, [&](idx l) {
+                 return std::array{seg.slice(Spin::Up, l),
+                                   seg.slice(Spin::Down, l)};
+               });
+             });
   return measure.finish(dtau);
 }
 

@@ -13,6 +13,7 @@
 // with m_i(tau) = n_up,i(tau) - n_dn,i(tau) from the equal-time G(l,l).
 #pragma once
 
+#include "dqmc/engine.h"
 #include "dqmc/momentum_transform.h"
 #include "dqmc/stats.h"
 #include "dqmc/time_displaced.h"
@@ -43,16 +44,18 @@ DynamicSample measure_dynamic(const Lattice& lattice, double dtau,
                               const TimeDisplaced& dn,
                               MeasurementWorkspace& ws);
 
-/// The production path: walks `tdg`'s chain one cluster segment at a time
-/// over the products in `store` (see TimeDisplacedGreens::stream) and
-/// measures each segment's slices while they are in cache, so only one
-/// segment is ever held; the segment buffers live in ws.displaced and are
-/// reused by every later call. Bitwise equal to measure_dynamic(lattice,
-/// dtau, tdg.compute(Up), tdg.compute(Down), ws) when `store` holds the
-/// products tdg would rebuild.
+/// The production path, on the engine's configuration after a sweep: walks
+/// its chain one cluster segment at a time over the side the sweep stored
+/// in its boundary stacks (DqmcEngine::stored_stacks, see
+/// TimeDisplacedGreens::stream) and measures each segment's slices while
+/// they are in cache, so only one segment is ever held; the segment
+/// buffers live in ws.displaced and are reused by every later call. The
+/// walk's cluster products and pushes bill to the caller's phase bracket.
+/// Bitwise equal to measure_dynamic(lattice, dtau, tdg.compute(Up),
+/// tdg.compute(Down), ws) for a TimeDisplacedGreens of the engine's field
+/// and configuration.
 DynamicSample measure_dynamic(const Lattice& lattice, double dtau,
-                              const TimeDisplacedGreens& tdg,
-                              ClusterStore& store, MeasurementWorkspace& ws);
+                              DqmcEngine& engine, MeasurementWorkspace& ws);
 
 /// Convenience overload: plans a single-use workspace.
 DynamicSample measure_dynamic(const Lattice& lattice, double dtau,

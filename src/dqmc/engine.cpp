@@ -1,9 +1,12 @@
 #include "dqmc/engine.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 #include <utility>
 
+#include "dqmc/cluster_store.h"
 #include "fault/failpoint.h"
 #include "linalg/blas3.h"
 #include "linalg/lu.h"
@@ -50,34 +53,37 @@ DqmcEngine::DqmcEngine(const Lattice& lattice, const ModelParams& params,
       factory_(lattice, params, config.kinetic),
       field_(params.slices, lattice.num_sites()),
       rng_(seed),
+      clusters_(config.cluster_size >= 1
+                    ? (params.slices + config.cluster_size - 1) /
+                          config.cluster_size
+                    : 1),
       owned_backend_(shared_backend ? nullptr
                                     : backend::make_backend(config.backend)),
       backend_(shared_backend ? shared_backend : owned_backend_.get()),
       chain_(std::make_unique<backend::BackendBChain>(
           *backend_, factory_.kinetic().factor(), 2)),
-      clusters_(factory_, field_, config.cluster_size),
-      stacks_{BoundaryStack(factory_.n(), clusters_.num_clusters(),
-                            BoundaryStack::checkpoint_stride(
-                                clusters_.num_clusters()),
-                            config.algorithm, config.qr_block),
-              BoundaryStack(factory_.n(), clusters_.num_clusters(),
-                            BoundaryStack::checkpoint_stride(
-                                clusters_.num_clusters()),
-                            config.algorithm, config.qr_block)},
+      stacks_{BoundaryStack(factory_.n(), clusters_, config.algorithm,
+                            config.qr_block),
+              BoundaryStack(factory_.n(), clusters_, config.algorithm,
+                            config.qr_block)},
       delayed_{DelayedGreens(factory_.n(), config.delay_rank),
                DelayedGreens(factory_.n(), config.delay_rank)} {
   params_.validate();
   config_.validate();
-  clusters_.attach_backend(chain_.get(), chain_.get(), 0, 1);
+  for (linalg::Matrix& p : products_) p.resize(n(), n());
+}
+
+idx DqmcEngine::cluster_end(idx c) const {
+  return std::min(slices(), (c + 1) * config_.cluster_size);
 }
 
 void DqmcEngine::initialize() {
   field_.randomize(rng_);
-  resume();
+  resume(SweepDirection::kUp);
 }
 
-void DqmcEngine::resume() {
-  clusters_.rebuild_all(&profiler_);
+void DqmcEngine::resume(SweepDirection next) {
+  direction_ = next;
   recompute_greens(0);
   sign_ = sign_from_scratch();
   initialized_ = true;
@@ -99,38 +105,25 @@ double max_abs_diff(const linalg::Matrix& a, const linalg::Matrix& b) {
 
 }  // namespace
 
-void DqmcEngine::recompute_greens(idx cluster, bool record_drift) {
-  DQMC_CHECK(cluster >= 0 && cluster < clusters_.num_clusters());
+void DqmcEngine::form_products(idx c, Profiler* prof, std::uint64_t calls) {
+  ScopedPhase phase(prof, Phase::kClustering, calls);
+  phase.arg("cluster", static_cast<double>(c));
+  std::vector<std::vector<linalg::Vector>> vs(2);
+  for (Spin s : hubbard::kSpins) {
+    for (idx l = cluster_begin(c); l < cluster_end(c); ++l) {
+      vs[static_cast<std::size_t>(spin_index(s))].push_back(
+          factory_.v_diagonal(field_.slice(l), s));
+    }
+  }
+  chain_->cluster_product_into(vs,
+                               {products_[0].view(), products_[1].view()});
+  record_cluster_products(factory_, cluster_end(c) - cluster_begin(c),
+                          phase.close());
+}
+
+void DqmcEngine::reset_greens(linalg::Matrix (&fresh)[2], bool record_drift) {
   const bool monitor =
       record_drift && initialized_ && obs::health().enabled();
-  // Carry the stacks only from boundary c-1 with nothing but Bhat_{c-1}
-  // changed since; otherwise rebuild (bitwise the same stack).
-  const bool carried = cluster > 0 &&
-                       stacks_[0].boundary() == cluster - 1 &&
-                       stacks_[1].boundary() == cluster - 1 &&
-                       clusters_.unchanged_since(stack_revision_, cluster - 1);
-  // The deferred product of both spins, one composite on this thread (an
-  // async backend's stream takes one submitter, and one composite per
-  // boundary is what every backend runs). Then the two spins' closures side
-  // by side, each with half the caller's threads for its nested GEMM/QR
-  // loops, billed as one stratification call per spin.
-  clusters_.materialize(&profiler_);
-  linalg::Matrix fresh[2];
-  {
-    ScopedPhase phase(&profiler_, Phase::kStratification, 2);
-    phase.arg("cluster", static_cast<double>(cluster));
-    for_both_spins([&](int si) {
-      const Spin s = hubbard::kSpins[static_cast<std::size_t>(si)];
-      BoundaryStack& stack = stacks_[si];
-      if (carried) {
-        stack.advance(clusters_, s);
-      } else {
-        stack.rebuild(clusters_, s, cluster);
-      }
-      stack.close(fresh[si]);
-    });
-  }
-  stack_revision_ = clusters_.revision();
   for (int si = 0; si < 2; ++si) {
     DelayedGreens& dg = delayed_[si];
     if (monitor) {
@@ -143,21 +136,99 @@ void DqmcEngine::recompute_greens(idx cluster, bool record_drift) {
   }
 }
 
+void DqmcEngine::boundary_greens(bool record_drift) {
+  // The product of the cluster just crossed, both spins in one composite
+  // on this thread (an async backend's stream takes one submitter). Then
+  // the two spins' pushes and closures side by side, each with half the
+  // caller's threads for its nested GEMM/QR loops, billed as one
+  // stratification call per spin.
+  const bool push = pending_ >= 0;
+  if (push) {
+    form_products(pending_, &profiler_, 1 + std::exchange(unbilled_, 0));
+  } else if (unbilled_ > 0) {
+    // stored_stacks() formed and pushed it, billing its time then.
+    ScopedPhase phase(&profiler_, Phase::kClustering,
+                      std::exchange(unbilled_, 0));
+  }
+  pending_ = -1;
+  linalg::Matrix fresh[2];
+  {
+    ScopedPhase phase(&profiler_, Phase::kStratification, 2);
+    for_both_spins([&](int si) {
+      BoundaryStack& stack = stacks_[si];
+      if (push) stack.push(products_[si]);
+      stack.close(fresh[si]);
+    });
+    phase.arg("boundary", static_cast<double>(stacks_[0].boundary()));
+  }
+  reset_greens(fresh, record_drift);
+}
+
+void DqmcEngine::rebuild_stacks() {
+  // The side the next half reads, pushed from the identity cluster by
+  // cluster as the opposite half would have left it: suffixes over m-1
+  // down to 0 before an up sweep, prefixes over 0 .. m-1 before a down
+  // sweep. One clustering call per product; the pushes bill no call.
+  const SweepDirection built = opposite(direction_);
+  for (BoundaryStack& stack : stacks_) stack.start(built);
+  pending_ = -1;
+  unbilled_ = 0;
+  for (idx i = 0; i < clusters_; ++i) {
+    form_products(stacks_[0].next_cluster(), &profiler_, 1);
+    ScopedPhase phase(&profiler_, Phase::kStratification, 0);
+    for_both_spins([&](int si) { stacks_[si].push(products_[si]); });
+  }
+}
+
+void DqmcEngine::recompute_greens(idx cluster) {
+  DQMC_CHECK(cluster >= 0 && cluster < clusters_);
+  rebuild_stacks();
+  // Boundary 0 is tau = 0 going up and tau = beta going down: the same G.
+  const idx target = cluster == 0 ? stacks_[0].boundary() : cluster;
+  linalg::Matrix fresh[2];
+  if (target == stacks_[0].boundary()) {
+    ScopedPhase phase(&profiler_, Phase::kStratification, 2);
+    for_both_spins([&](int si) { stacks_[si].close(fresh[si]); });
+  } else {
+    std::optional<StackWalk> walks[2];
+    for (int si = 0; si < 2; ++si) {
+      walks[si].emplace(stacks_[si], config_.algorithm, config_.qr_block);
+    }
+    while (walks[0]->boundary() != target) {
+      form_products(walks[0]->next_cluster(), nullptr, 0);
+      for_both_spins([&](int si) { walks[si]->advance(products_[si]); });
+    }
+    for_both_spins([&](int si) {
+      fresh[si].resize(n(), n());
+      walks[si]->close(fresh[si], MatrixView(), MatrixView());
+    });
+  }
+  reset_greens(fresh, false);
+}
+
+std::array<const BoundaryStack*, 2> DqmcEngine::stored_stacks() {
+  if (pending_ >= 0) {
+    // Zero-call brackets, nested in the caller's: the time is the
+    // product's and the push's, the calls the next boundary's.
+    form_products(pending_, &profiler_, 0);
+    ScopedPhase phase(&profiler_, Phase::kStratification, 0);
+    for_both_spins([this](int si) { stacks_[si].push(products_[si]); });
+    pending_ = -1;
+    ++unbilled_;
+  }
+  return {&stacks_[0], &stacks_[1]};
+}
+
 int DqmcEngine::sign_from_scratch() {
   // sign(det M+ det M-) computed through the graded decomposition, whose
   // LU targets are well-conditioned at any beta (LU of G itself has
   // unreliable pivot signs once G's singular values reach rounding).
-  // M_s = I + C_s for the full rotation C_s, and the boundary-0 suffix of
-  // spin s's stack is the graded decomposition of C_s^T, with the same
-  // determinant: the sign costs two LUs per spin and no push. The
+  // M_s = I + C_s for the full rotation C_s, whose graded decomposition a
+  // complete stack holds (as C_s^T, or as the prefix A_m = C_s, with the
+  // same determinant): the sign costs two LUs per spin and no push. The
   // per-spin determinants are independent: evaluate them concurrently.
   int sgn[2] = {1, 1};
-  par::TaskGroup spins(2);
-  for (Spin s : hubbard::kSpins) {
-    const int si = spin_index(s);
-    spins.run([this, si, &sgn] { sgn[si] = stacks_[si].det_sign(); });
-  }
-  spins.wait();
+  for_both_spins([this, &sgn](int si) { sgn[si] = stacks_[si].det_sign(); });
   return sgn[0] * sgn[1];
 }
 
@@ -232,28 +303,35 @@ std::optional<DqmcEngine::WrapFault> DqmcEngine::hit_wrap_failpoints(
 SweepStats DqmcEngine::sweep_body(const WrapFault* fault,
                                   const SliceHook& on_slice) {
   SweepStats stats;
-  for (idx c = 0; c < clusters_.num_clusters(); ++c) {
-    // Fresh, numerically clean G at this cluster's boundary, built from the
-    // cached (recycled) cluster products.
-    recompute_greens(c, true);
-    for (idx slice = clusters_.cluster_begin(c);
-         slice < clusters_.cluster_end(c); ++slice) {
+  const SweepDirection dir = direction_;
+  const bool up = dir == SweepDirection::kUp;
+  for (idx i = 0; i < clusters_; ++i) {
+    const idx c = up ? i : clusters_ - 1 - i;
+    // Fresh, numerically clean G at the boundary the sweep enters cluster
+    // c through (before it going up, after it going down).
+    boundary_greens(true);
+    const idx begin = cluster_begin(c), end = cluster_end(c);
+    for (idx j = 0; j < end - begin; ++j) {
+      const idx slice = up ? begin + j : end - 1 - j;
       if (fault && fault->slice == slice) std::rethrow_exception(fault->error);
-      wrap_slice(slice);
+      // Going up, G reaches slice l by B_l G B_l^{-1} before its site loop;
+      // going down, G sits at l and leaves it by B_l^{-1} G B_l after.
+      if (up) wrap_slice(slice, dir);
       metropolis_sites(slice, stats);
       flush_spins();
       if (on_slice) on_slice(slice);
+      if (!up) wrap_slice(slice, dir);
     }
-    // The slices of cluster c changed: rebuild its cached product so later
-    // boundaries (and the next sweep) see the new field. Deferred: each
-    // spin forms it at the next boundary, right before pushing it onto its
-    // prefix (the last cluster's at the next sweep's first boundary).
-    clusters_.defer_rebuild(c);
+    // The slices of cluster c changed: the next boundary forms its product
+    // and pushes it (the last cluster's at the next sweep's first one).
+    pending_ = c;
   }
+  direction_ = opposite(dir);
   return stats;
 }
 
-void DqmcEngine::wrap_slice(idx slice) {
+void DqmcEngine::wrap_slice(idx slice, SweepDirection dir) {
+  const bool up = dir == SweepDirection::kUp;
   // One entry per chain item (= spin).
   std::vector<linalg::MatrixView> g;
   std::vector<linalg::Vector> v;
@@ -262,7 +340,9 @@ void DqmcEngine::wrap_slice(idx slice) {
     const int si = spin_index(s);
     DelayedGreens& dg = delayed_[si];
     g.push_back(dg.flush(&profiler_).view());
-    v.push_back(factory_.v_diagonal(field_.slice(slice), s));
+    // The reverse composite scales by the inverse diagonal.
+    v.push_back(up ? factory_.v_diagonal(field_.slice(slice), s)
+                   : factory_.v_diagonal_inv(field_.slice(slice), s));
     // G is still resident from the previous wrap unless a Metropolis
     // accept (or a stratification reset) touched it since.
     unchanged.push_back(wrapped_revision_[si] == dg.revision() ? 1 : 0);
@@ -277,7 +357,7 @@ void DqmcEngine::wrap_slice(idx slice) {
     };
     std::vector<idx> items(static_cast<std::size_t>(count));
     std::iota(items.begin(), items.end(), first);
-    chain_->wrap(part(g), part(vp), part(unchanged), std::move(items));
+    chain_->wrap(part(g), part(vp), part(unchanged), std::move(items), !up);
   };
   ScopedPhase phase(&profiler_, Phase::kWrapping, 2);  // one call per spin
   if (backend_->async()) {

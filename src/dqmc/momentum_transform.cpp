@@ -138,7 +138,6 @@ MeasurementWorkspace::MeasurementWorkspace(const hubbard::Lattice& lat)
   mvec = linalg::Vector(n);
   colsum = linalg::Vector(n);
   eps = linalg::Vector(n);
-  m0 = linalg::Vector(n);
   for (idx i = 0; i < n; ++i) {
     const auto c = lat.coord(i);
     eps[i] = ((c.x + c.y) % 2 == 0) ? 1.0 : -1.0;

@@ -109,7 +109,7 @@ struct MeasurementWorkspace {
   linalg::Matrix stencil1, stencil2;  ///< pair_d row/column passes
 
   // Dynamic scratch.
-  linalg::Vector eps, m0;
+  linalg::Vector eps;
   std::vector<double> gk_planes;  ///< (L+1) gathered planes, batched FFT
   /// Segment buffers of the streamed time-displaced walk, sized by the
   /// first dynamic measurement.

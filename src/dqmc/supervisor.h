@@ -4,7 +4,7 @@
 // The chain advances `checkpoint_interval` sweeps at a time. Each segment
 // measures into transactional scratch accumulators that are committed only
 // when the segment completes — so a replayed segment contributes exactly
-// once — and ends with an in-memory v1 checkpoint of the Markov state.
+// once — and ends with an in-memory checkpoint of the Markov state.
 // When a segment throws, the fault is classified (fault::FaultClass) and
 // recovered:
 //   * device / numerical / health  -> deterministic exponential backoff,

@@ -1,9 +1,10 @@
 #include "dqmc/time_displaced.h"
 
+#include <algorithm>
 #include <optional>
+#include <tuple>
 #include <utility>
 
-#include "dqmc/boundary_stack.h"
 #include "dqmc/cluster_store.h"
 #include "parallel/task_runtime.h"
 
@@ -11,44 +12,37 @@ namespace dqmc::core {
 
 namespace {
 
-/// One spin's walk over the chain, segment by segment, into its buffers.
+/// One spin's walk over a complete stack's stored side, segment by
+/// segment, into its buffers.
 class SpinWalk {
  public:
-  /// Positions the stack at boundary 0 with a suffix snapshot at every
-  /// boundary (checkpoint stride 1).
   SpinWalk(const BMatrixFactory& factory, const HSField& field,
-           ClusterStore& store, Spin s, StratAlgorithm algorithm,
-           idx qr_block, DisplacedSpinBuffers& buf, bool keep_tautau)
-      : factory_(factory), field_(field), store_(store), s_(s), buf_(buf),
-        keep_tautau_(keep_tautau),
-        stack_(factory.n(), store.num_clusters(), /*stride=*/1, algorithm,
-               qr_block) {
+           idx cluster_size, const BoundaryStack& stack, Spin s,
+           StratAlgorithm algorithm, idx qr_block, DisplacedSpinBuffers& buf,
+           bool keep_tautau)
+      : factory_(factory), field_(field), k_(cluster_size), s_(s), buf_(buf),
+        keep_tautau_(keep_tautau), walk_(stack, algorithm, qr_block) {
     const idx n = factory.n();
-    stack_.rebuild(store, s, 0);
-    const auto k = static_cast<std::size_t>(store.cluster_size());
+    const auto k = static_cast<std::size_t>(cluster_size);
     buf.g_tau0.resize(k);
     buf.g_0tau.resize(k);
     if (keep_tautau) buf.g_tautau.resize(k);
-    buf.tautau_diag.resize(n, store.cluster_size());
+    buf.tautau_diag.resize(n, cluster_size);
     buf.running.resize(n, n);
   }
 
-  /// Segment c: the slices of cluster c for c < nc; slice L alone for
-  /// c = nc. The boundary is closed exactly from the stack (one prefix push
-  /// per segment, the identity prefix at c = 0), the slices after it
-  /// propagate from it (bounded error: at most cluster_size single-slice
-  /// steps).
-  void segment(idx c) {
-    const idx nc = store_.num_clusters();
-    const idx begin = c == nc ? field_.slices() : store_.cluster_begin(c);
-    const idx end = c == nc ? begin + 1 : store_.cluster_end(c);
+  /// The segment that starts at the walk's boundary b: the slices of
+  /// cluster b, or slice L alone at the last boundary. The boundary is
+  /// closed exactly, the slices after it propagate from it (bounded error:
+  /// at most cluster_size single-slice steps).
+  void segment() {
+    const auto [begin, end] = segment_of(walk_.boundary());
     const idx n = factory_.n();
     for (idx i = 0; i < end - begin; ++i) {
       buf_.g_tau0[static_cast<std::size_t>(i)].resize(n, n);
       buf_.g_0tau[static_cast<std::size_t>(i)].resize(n, n);
     }
-    if (c > 0) stack_.advance(store_, s_);
-    stack_.close(buf_.running, buf_.g_tau0[0], buf_.g_0tau[0]);
+    walk_.close(buf_.running, buf_.g_tau0[0], buf_.g_0tau[0]);
     record_tautau(0);
     for (idx l = begin + 1; l < end; ++l) {
       const auto i = static_cast<std::size_t>(l - begin);
@@ -63,6 +57,25 @@ class SpinWalk {
     }
   }
 
+  /// Cross the next cluster: form its product and push it.
+  void advance() {
+    const idx c = walk_.next_cluster();
+    form_cluster_product(factory_, field_, s_, c * k_,
+                         std::min(field_.slices(), (c + 1) * k_), product_,
+                         work_);
+    walk_.advance(product_);
+  }
+
+  bool done() const { return walk_.done(); }
+  idx boundary() const { return walk_.boundary(); }
+
+  /// Slices [begin, end) of the segment starting at boundary b.
+  std::pair<idx, idx> segment_of(idx b) const {
+    const idx L = field_.slices();
+    if (b * k_ >= L) return {L, L + 1};
+    return {b * k_, std::min(L, (b + 1) * k_)};
+  }
+
  private:
   void record_tautau(idx i) {
     const Matrix& g = buf_.running;
@@ -73,11 +86,12 @@ class SpinWalk {
 
   const BMatrixFactory& factory_;
   const HSField& field_;
-  ClusterStore& store_;
+  idx k_;
   Spin s_;
   DisplacedSpinBuffers& buf_;
   bool keep_tautau_;
-  BoundaryStack stack_;
+  StackWalk walk_;
+  Matrix product_, work_;
 };
 
 }  // namespace
@@ -119,15 +133,13 @@ TimeDisplacedGreens::TimeDisplacedGreens(const BMatrixFactory& factory,
   DQMC_CHECK(factory.n() == field.sites());
 }
 
-void TimeDisplacedGreens::walk(ClusterStore& store,
+void TimeDisplacedGreens::walk(std::array<const BoundaryStack*, 2> stored,
                                std::span<const Spin> spins,
                                DisplacedBuffers& buffers, bool keep_tautau,
                                const SegmentSink& sink) const {
   // Each spin's tasks share nothing with the other's but the read-only
-  // store (a pending deferred product is formed here, before the spins
-  // fork); like the engine's spin groups, two spins split the caller's
-  // threads for their kernels.
-  store.materialize();
+  // field and stacks; like the engine's spin groups, two spins split the
+  // caller's threads for their kernels.
   std::array<std::optional<SpinWalk>, 2> walks;
   const auto for_spins = [&](const auto& body) {
     if (spins.size() == 1) {
@@ -141,33 +153,54 @@ void TimeDisplacedGreens::walk(ClusterStore& store,
   const auto slot = [](Spin s) {
     return static_cast<std::size_t>(hubbard::spin_index(s));
   };
-  for_spins([&](Spin s) {
-    walks[slot(s)].emplace(factory_, field_, store, s, algorithm_, qr_block_,
-                           buffers.spin[slot(s)], keep_tautau);
-  });
-  const idx nc = store.num_clusters();
-  for (idx c = 0; c <= nc; ++c) {
-    for_spins([&](Spin s) { walks[slot(s)]->segment(c); });
+  for (Spin s : spins) {
+    const BoundaryStack* stack = stored[slot(s)];
+    DQMC_CHECK_MSG(stack != nullptr && stack->n() == n() &&
+                       stack->clusters() == (slices() + cluster_size_ - 1) /
+                                                cluster_size_,
+                   "boundary stack covers a different chain");
+    walks[slot(s)].emplace(factory_, field_, cluster_size_, *stack, s,
+                           algorithm_, qr_block_, buffers.spin[slot(s)],
+                           keep_tautau);
+  }
+  const SpinWalk& lead = *walks[slot(spins[0])];
+  for (;;) {
+    for_spins([&](Spin s) { walks[slot(s)]->segment(); });
     DisplacedSegment seg;
-    seg.begin = c == nc ? slices() : store.cluster_begin(c);
-    seg.end = c == nc ? seg.begin + 1 : store.cluster_end(c);
+    std::tie(seg.begin, seg.end) = lead.segment_of(lead.boundary());
     seg.buffers = &buffers;
     sink(seg);
+    if (lead.done()) break;
+    for_spins([&](Spin s) { walks[slot(s)]->advance(); });
   }
 }
 
-void TimeDisplacedGreens::stream(ClusterStore& store, DisplacedBuffers& buffers,
+void TimeDisplacedGreens::stream(std::array<const BoundaryStack*, 2> stored,
+                                 DisplacedBuffers& buffers,
                                  const SegmentSink& sink) const {
-  DQMC_CHECK_MSG(store.cluster_size() == cluster_size_ &&
-                     store.cluster_end(store.num_clusters() - 1) == slices(),
-                 "cluster store covers a different chain");
-  walk(store, hubbard::kSpins, buffers, /*keep_tautau=*/false, sink);
+  walk(stored, hubbard::kSpins, buffers, /*keep_tautau=*/false, sink);
 }
 
 std::array<TimeDisplaced, 2> TimeDisplacedGreens::materialize(
     std::span<const Spin> spins) const {
-  ClusterStore store(factory_, field_, cluster_size_);
-  store.rebuild_all();
+  // A private stack per spin holding the suffixes, built from the identity
+  // as a down sweep leaves them; the walk then goes up over it.
+  const idx m = (slices() + cluster_size_ - 1) / cluster_size_;
+  std::array<std::optional<BoundaryStack>, 2> stacks;
+  std::array<const BoundaryStack*, 2> stored{};
+  for (Spin s : spins) {
+    const auto si = static_cast<std::size_t>(hubbard::spin_index(s));
+    BoundaryStack& stack = stacks[si].emplace(n(), m, algorithm_, qr_block_);
+    stack.start(SweepDirection::kDown);
+    Matrix product, work;
+    for (idx c = m - 1; c >= 0; --c) {
+      form_cluster_product(factory_, field_, s, c * cluster_size_,
+                           std::min(slices(), (c + 1) * cluster_size_),
+                           product, work);
+      stack.push(product);
+    }
+    stored[si] = &stack;
+  }
   DisplacedBuffers buffers;
   std::array<TimeDisplaced, 2> out;
   const auto count = static_cast<std::size_t>(slices()) + 1;
@@ -179,7 +212,7 @@ std::array<TimeDisplaced, 2> TimeDisplacedGreens::materialize(
   }
   // Take each slice's matrices out of the segment slots; the walk sizes
   // fresh ones for the next segment.
-  walk(store, spins, buffers, /*keep_tautau=*/true,
+  walk(stored, spins, buffers, /*keep_tautau=*/true,
        [&](const DisplacedSegment& seg) {
          for (Spin s : spins) {
            const auto si = static_cast<std::size_t>(hubbard::spin_index(s));

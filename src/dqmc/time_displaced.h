@@ -14,13 +14,15 @@
 //
 // The chain is walked one cluster segment [b_c, b_{c+1}) at a time: each
 // spin closes the boundary b_c exactly, then propagates the segment's
-// slices by single B steps. The stack keeps a suffix snapshot at every
-// boundary (checkpoint stride 1): the walk closes each boundary exactly
-// once, in order, so no suffix is ever pushed twice, and each snapshot is
-// released once its boundary is passed. The final slice l = L is a closure
-// of its own. The streaming entry point hands each finished
-// segment to a sink, so only one segment is ever held in memory; compute()
-// and compute_both() are the sink that keeps every slice.
+// slices by single B steps. The walk is a StackWalk over the stored side of
+// a complete boundary stack — the engine's own after a sweep, whose slots
+// hold every suffix (after a down sweep) or every prefix (after an up one)
+// — carrying the other side in one accumulator per spin, so each boundary
+// costs one push and one closure. The final slice l = L is a closure of its
+// own. The streaming entry point hands each finished segment to a sink, so
+// only one segment is ever held in memory; compute() and compute_both() are
+// the sink that keeps every slice, over a private stack built from the
+// field.
 #pragma once
 
 #include <array>
@@ -28,6 +30,8 @@
 #include <span>
 #include <vector>
 
+#include "dqmc/boundary_stack.h"
+#include "dqmc/cluster_store.h"
 #include "dqmc/graded.h"
 #include "dqmc/hs_field.h"
 #include "hubbard/bmatrix.h"
@@ -90,8 +94,6 @@ struct DisplacedSegment {
   DisplacedSlice slice(Spin s, idx l) const;
 };
 
-class ClusterStore;
-
 class TimeDisplacedGreens {
  public:
   /// References are retained; factory and field must outlive this object.
@@ -116,26 +118,28 @@ class TimeDisplacedGreens {
   /// Receives each finished segment, in slice order, on the calling thread.
   using SegmentSink = std::function<void(const DisplacedSegment&)>;
 
-  /// Walk both spins one cluster segment at a time and hand each segment to
-  /// `sink`: segments [b_c, b_{c+1}) for every cluster c, then [L, L + 1).
-  /// The cluster products come from `store`, which must cover this field
-  /// with this cluster size and be current (the engine's store after
-  /// sweep() or a walker crowd's sweep_all(); a deferred product is
-  /// formed first). Only G(l,l)'s diagonal is kept. Every slice is bitwise what
-  /// compute_both() yields when the store's products match its rebuild.
-  void stream(ClusterStore& store, DisplacedBuffers& buffers,
-              const SegmentSink& sink) const;
+  /// Walk both spins one cluster segment at a time over the stored sides
+  /// of `stored` ([0] = Up): complete stacks built from this field with
+  /// this cluster size, algorithm and QR panel width (the engine's, from
+  /// DqmcEngine::stored_stacks()). Each segment goes to `sink`: [b_c,
+  /// b_{c+1}) for every cluster c and [L, L + 1), in the order of the
+  /// stacks' next half — ascending over stored suffixes, descending over
+  /// stored prefixes. Each walk forms every cluster product once, through
+  /// the factory. Only G(l,l)'s diagonal is kept. Every slice is bitwise
+  /// what compute_both() yields.
+  void stream(std::array<const BoundaryStack*, 2> stored,
+              DisplacedBuffers& buffers, const SegmentSink& sink) const;
 
   /// Convenience for the common observable: the local time-displaced
   /// Green's function Gloc(tau_l) = (1/N) tr G(l,0), l = 0..L.
   Vector local_greens(Spin s) const;
 
  private:
-  void walk(ClusterStore& store, std::span<const Spin> spins,
-            DisplacedBuffers& buffers, bool keep_tautau,
-            const SegmentSink& sink) const;
-  /// The walk over a private store rebuilt from the field, every slice
-  /// kept; entries of spins not in `spins` stay empty.
+  void walk(std::array<const BoundaryStack*, 2> stored,
+            std::span<const Spin> spins, DisplacedBuffers& buffers,
+            bool keep_tautau, const SegmentSink& sink) const;
+  /// The walk over private stacks built from the field, every slice kept;
+  /// entries of spins not in `spins` stay empty.
   std::array<TimeDisplaced, 2> materialize(std::span<const Spin> spins) const;
 
   const BMatrixFactory& factory_;

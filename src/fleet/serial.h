@@ -6,7 +6,7 @@
 //     (measurements, dynamic, sweep/strat/backend stats, phase profile,
 //     fault report, trajectory hash), bit-exact via hexio so the coordinator's
 //     merge_chains — the single-process merge — folds it to the last bit;
-//   * a ShardState — one chain's resume point: its v1 checkpoint at a
+//   * a ShardState — one chain's resume point: its checkpoint at a
 //     segment boundary plus the partial committed before it. The same shape
 //     serves assignment (fresh: no checkpoint, no partial), snapshot
 //     (periodic resume insurance) and result (done == total, no
@@ -37,7 +37,7 @@ void deserialize_chain_partial(const std::string& blob, SimulationResults& r);
 struct ShardState {
   idx chain = 0;  ///< global index of the shard's chain
   idx done = 0;   ///< sweeps committed at the boundary
-  /// v1 checkpoint at `done` (empty = start fresh / result).
+  /// checkpoint at `done` (empty = start fresh / result).
   std::string checkpoint;
   /// Serialized partial (empty on a fresh assignment).
   std::string partial;

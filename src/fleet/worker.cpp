@@ -134,17 +134,22 @@ class Worker {
   }
 
   /// Report progress and, when the recovery checkpoint is current, ship it
-  /// as the chain's resume snapshot. Nothing else reaches a busy worker: a
-  /// write that fails means the coordinator is gone, so the worker exits
-  /// here instead of replaying the segment through the recovery ladder.
+  /// as the chain's resume snapshot, with the committed partial and the
+  /// phase profile up to this boundary: the partial's own (what a handoff
+  /// brought) plus the engine's, which the partial only takes at the end of
+  /// the run. Nothing else reaches a busy worker: a write that fails means
+  /// the coordinator is gone, so the worker exits here instead of replaying
+  /// the segment through the recovery ladder.
   void on_boundary(const core::CrowdBoundary& b) {
     try {
       std::ostringstream p;
       hx::put_u64(p, static_cast<std::uint64_t>(b.done));
       write_frame(write_fd_, FrameType::kProgress, shard_id_, p.str());
       if (b.done < b.total && sup_->checkpoint_sweep() == b.done) {
+        core::SimulationResults partial = *partials_[0];
+        partial.profiler.merge(sup_->engine_profile(0));
         const ShardState snapshot{chain_, b.done, sup_->checkpoints().front(),
-                                  serialize_chain_partial(*partials_[0])};
+                                  serialize_chain_partial(partial)};
         write_frame(write_fd_, FrameType::kSnapshot, shard_id_,
                     encode_shard_state(snapshot));
       }

@@ -27,7 +27,9 @@ Vector BMatrixFactory::v_diagonal_inv(const hs_t* h, Spin sigma) const {
 }
 
 Matrix BMatrixFactory::make_b(const hs_t* h, Spin sigma) const {
-  Matrix out = b();
+  // The apply to the identity is bitwise b(), without rendering it.
+  Matrix out = Matrix::identity(n());
+  kinetic_.apply_left(out);
   const Vector v = v_diagonal(h, sigma);
   linalg::scale_rows(v.data(), out);
   return out;

@@ -23,17 +23,38 @@ KineticKind kinetic_kind_from_string(const std::string& name) {
 
 KineticOperator::KineticOperator(const Lattice& lattice,
                                  const ModelParams& params, KineticKind kind)
-    : kind_(kind), eig_(linalg::eig_sym(kinetic_matrix(lattice, params))) {
+    : lattice_(lattice),
+      params_(params),
+      kind_(kind),
+      dense_(std::make_unique<Dense>()) {
   if (kind_ == KineticKind::kCheckerboard) {
     cb_ = std::make_unique<CheckerboardB>(lattice, params);
     factor_ = cb_->op();
   } else {
     factor_ = kinetic_kron(lattice, params);
   }
-  b_ = Matrix::identity(lattice.num_sites());
-  b_inv_ = Matrix::identity(lattice.num_sites());
-  apply_left(b_);
-  apply_inverse_left(b_inv_);
+}
+
+const Matrix& KineticOperator::b() const {
+  std::call_once(dense_->b_once, [this] {
+    dense_->b = Matrix::identity(n());
+    dense_->b_inv = Matrix::identity(n());
+    apply_left(dense_->b);
+    apply_inverse_left(dense_->b_inv);
+  });
+  return dense_->b;
+}
+
+const Matrix& KineticOperator::b_inv() const {
+  b();
+  return dense_->b_inv;
+}
+
+const linalg::SymmetricEigen& KineticOperator::eig() const {
+  std::call_once(dense_->eig_once, [this] {
+    dense_->eig = linalg::eig_sym(kinetic_matrix(lattice_, params_));
+  });
+  return dense_->eig;
 }
 
 const CheckerboardB& KineticOperator::checkerboard() const {

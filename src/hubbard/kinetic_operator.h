@@ -16,9 +16,14 @@
 // identity reproduces b() bitwise. In dense mode the rendering equals the
 // eigendecomposition exponential of K to rounding; in checkerboard mode it
 // differs from it by the one documented O(dtau^2) splitting error.
+//
+// No engine reads the dense forms: they are rendered on first use (b() and
+// b_inv() together, eig() on its own), safely from any thread, so a run
+// pays neither their 2 n^2 doubles nor the O(n^3) eigendecomposition.
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "hubbard/checkerboard.h"
@@ -44,15 +49,16 @@ class KineticOperator {
   KineticKind kind() const { return kind_; }
   /// True in checkerboard mode (the split-bond approximation).
   bool structured() const { return kind_ == KineticKind::kCheckerboard; }
-  idx n() const { return b_.rows(); }
+  idx n() const { return lattice_.num_sites(); }
 
   /// Dense rendering of B and B^{-1}: the structured factor applied to the
-  /// identity.
-  const Matrix& b() const { return b_; }
-  const Matrix& b_inv() const { return b_inv_; }
+  /// identity (rendered on first use).
+  const Matrix& b() const;
+  const Matrix& b_inv() const;
   /// Eigendecomposition of K — always the exact one, both modes (free
   /// fermion references and spectral diagnostics need it regardless).
-  const linalg::SymmetricEigen& eig() const { return eig_; }
+  /// Computed on first use.
+  const linalg::SymmetricEigen& eig() const;
 
   /// The structured form every apply runs and the compute backends upload:
   /// the Kronecker product in dense mode, the bond table in checkerboard
@@ -78,11 +84,19 @@ class KineticOperator {
   void apply_inverse_right(MatrixView x) const;
 
  private:
+  /// The forms rendered on first use, each behind its own once flag.
+  struct Dense {
+    std::once_flag b_once, eig_once;
+    Matrix b, b_inv;
+    linalg::SymmetricEigen eig;
+  };
+
+  Lattice lattice_;
+  ModelParams params_;
   KineticKind kind_;
   linalg::KineticFactor factor_;
-  Matrix b_, b_inv_;
-  linalg::SymmetricEigen eig_;
   std::unique_ptr<CheckerboardB> cb_;
+  std::unique_ptr<Dense> dense_;
 };
 
 }  // namespace dqmc::hubbard

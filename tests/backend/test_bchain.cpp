@@ -125,6 +125,41 @@ TEST_P(ChainFixture, WrapMatchesHostWrap) {
   EXPECT_MATRIX_NEAR(g, g_host, 0.0);
 }
 
+TEST_P(ChainFixture, ReverseWrapUndoesTheWrapLikeTheHost) {
+  // The down sweep's composite G <- B_l^{-1} G B_l, with the inverse
+  // diagonal, in both chain forms: it undoes the forward wrap to rounding,
+  // reads the resident G like the forward one, and gives the host
+  // backend's bits on every backend.
+  auto h = random_field(410);
+  const linalg::Vector v = factory.v_diagonal(h.data(), Spin::Up);
+  const linalg::Vector vinv = factory.v_diagonal_inv(h.data(), Spin::Up);
+  MatrixRng rng(411);
+  const Matrix g0 = rng.uniform_matrix(16, 16);
+  auto host = make_backend(BackendKind::kHost);
+  auto be = make_backend(GetParam());
+  for (const bool structured : {true, false}) {
+    const auto make = [&](ComputeBackend& b) {
+      return structured
+                 ? std::make_unique<BackendBChain>(b, factory.kinetic().factor())
+                 : std::make_unique<BackendBChain>(b, factory.b(),
+                                                   factory.b_inv());
+    };
+    const auto round_trip = [&](BackendBChain& chain) {
+      Matrix g = g0;
+      chain.wrap({g}, {&v}, {false});
+      chain.wrap({g}, {&vinv}, {true}, {}, /*reverse=*/true);
+      return g;
+    };
+    std::unique_ptr<BackendBChain> chain = make(*be);
+    std::unique_ptr<BackendBChain> ref = make(*host);
+    const Matrix g = round_trip(*chain);
+    SCOPED_TRACE(structured ? "structured" : "dense");
+    EXPECT_EQ(chain->wrap_uploads_skipped(0), 1u);
+    EXPECT_MATRIX_NEAR(g, g0, 1e-11);
+    EXPECT_MATRIX_NEAR(g, round_trip(*ref), 0.0);
+  }
+}
+
 TEST_P(ChainFixture, WrapVariantsAgree) {
   // The chain's fused Algorithm 7 wrap vs the row-by-row Algorithm 6
   // sequence issued on the simulated device: same arithmetic up to the 1/v

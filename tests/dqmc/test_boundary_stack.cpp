@@ -1,14 +1,17 @@
-// Boundary stack in the engine: every boundary of a sweep agrees with the
-// full-rotation stratification, a carried stack is bitwise a rebuilt one,
-// cluster changes the carry must not see are detected, and the graded-push
-// count per sweep is pinned.
+// Boundary stack of the up/down sweep: every boundary the engine closes
+// agrees with the full-rotation stratification in both directions, a
+// carried stack is bitwise a rebuilt one at every boundary of both halves,
+// and the graded-push count per sweep is pinned.
 #include "dqmc/boundary_stack.h"
 
 #include <gtest/gtest.h>
 
 #include <tuple>
 
+#include "dqmc/cluster_store.h"
 #include "dqmc/engine.h"
+#include "dqmc/rng.h"
+#include "dqmc/simulation.h"
 #include "dqmc/stratification.h"
 #include "parallel/topology.h"
 #include "testing/test_utils.h"
@@ -42,28 +45,6 @@ EngineConfig config(idx k, StratAlgorithm algorithm) {
   return c;
 }
 
-/// Resample cluster c's slices the way a sweep leaves them (a few flips)
-/// and defer its rebuild, as the sweep does before the next boundary.
-void touch_cluster(DqmcEngine& e, idx c) {
-  ClusterStore& store = e.cluster_store();
-  for (idx l = store.cluster_begin(c); l < store.cluster_end(c); ++l) {
-    e.field().flip(l, (l * 7 + c) % e.n());
-  }
-  store.defer_rebuild(c);
-}
-
-TEST(BoundaryStack, CheckpointStrideFollowsSqrtRule) {
-  // s = ceil(m / floor(sqrt m)); snapshots at its positive multiples < m.
-  EXPECT_EQ(BoundaryStack::checkpoint_stride(1), 1);
-  EXPECT_EQ(BoundaryStack::checkpoint_stride(2), 2);
-  EXPECT_EQ(BoundaryStack::checkpoint_stride(3), 3);
-  EXPECT_EQ(BoundaryStack::checkpoint_stride(4), 2);
-  EXPECT_EQ(BoundaryStack::checkpoint_stride(5), 3);
-  EXPECT_EQ(BoundaryStack::checkpoint_stride(8), 4);
-  EXPECT_EQ(BoundaryStack::checkpoint_stride(9), 3);
-  EXPECT_EQ(BoundaryStack::checkpoint_stride(16), 4);
-}
-
 class StackAgreement
     : public ::testing::TestWithParam<std::tuple<idx, StratAlgorithm>> {};
 
@@ -76,16 +57,24 @@ TEST_P(StackAgreement, EveryBoundaryMatchesTheFullRotation) {
   const idx slices = m == 1 ? 2 : 3 * m - 1;
   DqmcEngine e(Lattice(4, 4), model(slices), config(k, algorithm), 17 + m);
   e.initialize();
-  ASSERT_EQ(e.cluster_store().num_clusters(), m);
+  ASSERT_EQ(e.num_clusters(), m);
   StratificationEngine reference(e.n(), algorithm);
-  for (idx c = 0; c < m; ++c) {
-    e.recompute_greens(c);
-    SCOPED_TRACE(::testing::Message() << "m " << m << " boundary " << c);
-    for (Spin s : hubbard::kSpins) {
-      const Matrix g = reference.compute(e.cluster_store().rotation(s, c));
-      EXPECT_MATRIX_NEAR(e.greens(s), g, 1e-10);
+  // Before an up sweep the stacks hold suffixes, before a down sweep
+  // prefixes: the boundaries are reached from either side.
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    ClusterStore store(e.factory(), e.field(), k);
+    store.rebuild_all();
+    for (idx c = 0; c < m; ++c) {
+      e.recompute_greens(c);
+      SCOPED_TRACE(::testing::Message()
+                   << "m " << m << " boundary " << c << " before a "
+                   << sweep_direction_name(e.direction()) << " sweep");
+      for (Spin s : hubbard::kSpins) {
+        EXPECT_MATRIX_NEAR(e.greens(s), reference.compute(store.rotation(s, c)),
+                           1e-10);
+      }
     }
-    touch_cluster(e, c);
+    e.sweep();
   }
 }
 
@@ -96,87 +85,146 @@ INSTANTIATE_TEST_SUITE_P(
                                          StratAlgorithm::kQRP,
                                          StratAlgorithm::kSvdStack)));
 
-TEST(BoundaryStack, CarriedStackIsBitwiseARebuiltOne) {
-  ThreadCountGuard guard(2);
-  const idx m = 8;
-  DqmcEngine carried(Lattice(4, 4), model(4 * m - 1),
-                     config(4, StratAlgorithm::kPrePivot), 31);
-  DqmcEngine rebuilt(Lattice(4, 4), model(4 * m - 1),
-                     config(4, StratAlgorithm::kPrePivot), 31);
-  carried.initialize();
-  rebuilt.initialize();
-  for (idx c = 0; c < m; ++c) {
-    const std::uint64_t before = carried.strat_stats().steps;
-    carried.recompute_greens(c);
-    // Re-forming every product from the same field leaves the bits and
-    // bumps every cluster's revision: the stack must rebuild from scratch.
-    rebuilt.cluster_store().rebuild_all();
-    const std::uint64_t rebuilt_before = rebuilt.strat_stats().steps;
-    rebuilt.recompute_greens(c);
-    if (c > 0) {
-      EXPECT_LT(carried.strat_stats().steps - before,
-                rebuilt.strat_stats().steps - rebuilt_before)
-          << "boundary " << c << " was not carried";
+void expect_same_factors(const ChainFactors& a, const ChainFactors& b) {
+  ASSERT_EQ(a.identity(), b.identity());
+  if (a.identity()) return;
+  EXPECT_MATRIX_NEAR(*a.u, *b.u, 0.0);
+  EXPECT_MATRIX_NEAR(*a.t, *b.t, 0.0);
+  for (idx i = 0; i < a.d->size(); ++i) ASSERT_EQ((*a.d)[i], (*b.d)[i]);
+}
+
+/// A spin-up chain of m clusters whose products a test can change one
+/// cluster at a time, as a sweep changes them.
+struct Chain {
+  Chain(idx m, idx cluster_size)
+      : k(cluster_size),
+        factory(Lattice(4, 4), model(m * cluster_size)),
+        field(m * cluster_size, 16),
+        store(factory, field, cluster_size) {
+    Rng rng(5);
+    field.randomize(rng);
+    store.rebuild_all();
+  }
+  const Matrix& product(idx c) const { return store.cluster(Spin::Up, c); }
+  /// Resample cluster c (a few flips) and re-form its product.
+  void touch(idx c) {
+    for (idx l = c * k; l < (c + 1) * k; ++l) field.flip(l, (l * 7 + c) % 16);
+    store.rebuild(c);
+  }
+  /// A stack rebuilt from scratch for a half in direction d.
+  std::unique_ptr<BoundaryStack> rebuilt(SweepDirection d) const {
+    const idx m = store.num_clusters();
+    auto stack = std::make_unique<BoundaryStack>(16, m,
+                                                 StratAlgorithm::kPrePivot);
+    stack->start(opposite(d));
+    for (idx i = 0; i < m; ++i) stack->push(product(stack->next_cluster()));
+    return stack;
+  }
+
+  idx k;
+  hubbard::BMatrixFactory factory;
+  HSField field;
+  ClusterStore store;
+};
+
+TEST(BoundaryStack, CarriedStackIsBitwiseARebuiltOneInBothHalves) {
+  const idx m = 6;
+  Chain chain(m, 3);
+  std::unique_ptr<BoundaryStack> carried = chain.rebuilt(SweepDirection::kUp);
+  for (const SweepDirection dir :
+       {SweepDirection::kUp, SweepDirection::kDown, SweepDirection::kUp}) {
+    ASSERT_TRUE(carried->complete());
+    ASSERT_EQ(carried->direction(), dir);
+    // What the half finds stored is what a rebuild stores.
+    const std::unique_ptr<BoundaryStack> fresh = chain.rebuilt(dir);
+    for (idx b = 0; b <= m; ++b) {
+      SCOPED_TRACE(::testing::Message() << "stored boundary " << b);
+      expect_same_factors(carried->stored(b), fresh->stored(b));
     }
-    SCOPED_TRACE(::testing::Message() << "boundary " << c);
-    for (Spin s : hubbard::kSpins) {
-      EXPECT_MATRIX_NEAR(carried.greens(s), rebuilt.greens(s), 0.0);
+    for (idx i = 0; i < m; ++i) {
+      // At every boundary of the half the carried stack closes bitwise
+      // what a walk over a stack rebuilt from the current products does.
+      const std::unique_ptr<BoundaryStack> ref = chain.rebuilt(dir);
+      StackWalk walk(*ref, StratAlgorithm::kPrePivot);
+      while (walk.boundary() != carried->boundary()) {
+        walk.advance(chain.product(walk.next_cluster()));
+      }
+      Matrix g, want(16, 16);
+      carried->close(g);
+      walk.close(want, linalg::MatrixView(), linalg::MatrixView());
+      SCOPED_TRACE(::testing::Message()
+                   << sweep_direction_name(dir) << " boundary "
+                   << carried->boundary());
+      EXPECT_MATRIX_NEAR(g, want, 0.0);
+      // The sweep resamples the cluster it crosses before pushing it.
+      const idx c = carried->next_cluster();
+      chain.touch(c);
+      carried->push(chain.product(c));
     }
-    touch_cluster(carried, c);
-    touch_cluster(rebuilt, c);
   }
 }
 
-TEST(BoundaryStack, ChangedSuffixClusterIsDetected) {
-  ThreadCountGuard guard(2);
-  const idx m = 8;
-  // The changed cluster is c itself, the snapshot (4) and one past it.
-  for (const idx j : {2, 4, 6}) {
-    DqmcEngine e(Lattice(4, 4), model(4 * m),
-                 config(4, StratAlgorithm::kPrePivot), 47);
-    e.initialize();
-    const idx c = 2;
-    e.recompute_greens(0);
-    touch_cluster(e, 0);
-    e.recompute_greens(1);
-    touch_cluster(e, 1);
-    // Flip a slice of cluster j >= c and rebuild it between the calls.
-    ClusterStore& store = e.cluster_store();
-    e.field().flip(store.cluster_begin(j), 3);
-    store.rebuild(j);
-    e.recompute_greens(c);
-    StratificationEngine reference(e.n(), StratAlgorithm::kPrePivot);
-    SCOPED_TRACE(::testing::Message() << "changed cluster " << j);
-    for (Spin s : hubbard::kSpins) {
-      EXPECT_MATRIX_NEAR(e.greens(s), reference.compute(store.rotation(s, c)),
-                         1e-10);
-    }
-  }
+TEST(BoundaryStack, OneClusterTurnsAtEveryPush) {
+  Chain chain(1, 4);
+  BoundaryStack stack(16, 1, StratAlgorithm::kPrePivot);
+  stack.start(SweepDirection::kDown);
+  EXPECT_FALSE(stack.complete());
+  stack.push(chain.product(0));
+  EXPECT_TRUE(stack.complete());
+  EXPECT_EQ(stack.direction(), SweepDirection::kUp);
+  EXPECT_EQ(stack.boundary(), 0);
+  Matrix up;
+  stack.close(up);
+  stack.push(chain.product(0));
+  EXPECT_EQ(stack.direction(), SweepDirection::kDown);
+  EXPECT_EQ(stack.boundary(), 1);
+  Matrix down;
+  stack.close(down);
+  // tau = 0 and tau = beta: the same G from either side, to rounding.
+  EXPECT_MATRIX_NEAR(up, down, 1e-12);
 }
 
-/// Graded pushes of one sweep (both spins), after a warm-up sweep.
-std::uint64_t pushes_per_sweep(idx slices, idx k) {
+/// Graded pushes of one sweep (both spins), after `warm` sweeps.
+std::uint64_t pushes_per_sweep(idx slices, idx k, idx warm) {
   DqmcEngine e(Lattice(4, 4), model(slices),
                config(k, StratAlgorithm::kPrePivot), 71);
   e.initialize();
-  e.sweep();
+  for (idx i = 0; i < warm; ++i) e.sweep();
   const StratStats before = e.strat_stats();
   e.sweep();
   const StratStats after = e.strat_stats();
   EXPECT_EQ(after.evaluations - before.evaluations,
-            2u * static_cast<std::uint64_t>(e.cluster_store().num_clusters()));
+            2u * static_cast<std::uint64_t>(e.num_clusters()));
   return after.steps - before.steps;
 }
 
 TEST(BoundaryStack, QrStepsPerSweepArePinned) {
   ThreadCountGuard guard(2);
-  // m = 8: per spin m suffix pushes at the first boundary, m - 1 prefix
-  // pushes, 12 in-block pushes between the checkpoint at 4 and the ends;
-  // the full-rotation scheme takes m^2 = 64 per spin (128 both spins).
-  EXPECT_EQ(pushes_per_sweep(80, 10), 54u);
-  EXPECT_EQ(pushes_per_sweep(160, 10), 2u * (16 + 15 + 24));
-  EXPECT_EQ(pushes_per_sweep(40, 10), 2u * (4 + 3 + 2));
-  EXPECT_EQ(pushes_per_sweep(30, 10), 2u * (3 + 2 + 3));
+  // One push per spin and cluster, down (odd warm-up) or up (even): 2m for
+  // both spins, against 54 at m = 8 for a stack that re-pushed its suffix
+  // from sqrt(m)-spaced snapshots and 128 for a full-rotation scheme.
+  for (const idx warm : {1, 2}) {
+    EXPECT_EQ(pushes_per_sweep(80, 10, warm), 16u);
+    EXPECT_EQ(pushes_per_sweep(160, 10, warm), 32u);
+    EXPECT_EQ(pushes_per_sweep(40, 10, warm), 8u);
+    EXPECT_EQ(pushes_per_sweep(30, 10, warm), 6u);
+  }
+}
+
+TEST(BoundaryStack, QrStepsOfARunArePinned) {
+  // The dqmc_run shape --beta 10 --slices 80 --warmup 1 --sweeps 3 (m = 8;
+  // the count does not depend on the lattice): 2m pushes to build the
+  // stacks, 2(m - 1) in the first sweep, whose first boundary has no
+  // product to push, and 2m in each later one. The last sweep's last
+  // product stays pending, as no boundary follows it.
+  SimulationConfig cfg;
+  cfg.lx = cfg.ly = 4;
+  cfg.model = model(80);
+  cfg.engine.cluster_size = 10;
+  cfg.warmup_sweeps = 1;
+  cfg.measurement_sweeps = 3;
+  const SimulationResults res = run_simulation(cfg);
+  EXPECT_EQ(res.strat_stats.steps, 16u + 14u + 3u * 16u);
 }
 
 }  // namespace

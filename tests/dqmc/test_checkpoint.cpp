@@ -63,7 +63,7 @@ TEST(Checkpoint, RoundTripPreservesFieldAndRng) {
   std::stringstream buffer;
   save_checkpoint(buffer, engine);
   const std::string text = buffer.str();
-  EXPECT_NE(text.find("dqmcpp-checkpoint v1"), std::string::npos);
+  EXPECT_NE(text.find("dqmcpp-checkpoint v3"), std::string::npos);
   EXPECT_NE(text.find("slices 8"), std::string::npos);
   EXPECT_NE(text.find("sites 4"), std::string::npos);
 

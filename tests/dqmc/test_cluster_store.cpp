@@ -112,108 +112,19 @@ TEST_F(ClusterFixture, BackendPathsMatchBitwise) {
   }
 }
 
-TEST_F(ClusterFixture, AttachBackendNeedsAnItemPerSpin) {
-  // One chain serves both spins through two of its items, bitwise like the
-  // plain path; both spins on one item would share a workspace.
-  ClusterStore plain(factory, field, 4);
-  plain.rebuild_all();
-  auto be = backend::make_backend(backend::BackendKind::kHost);
-  backend::BackendBChain lane(*be, factory.kinetic().factor(), 4);
-  ClusterStore store(factory, field, 4);
-  EXPECT_THROW(store.attach_backend(&lane, &lane), InvalidArgument);
-  EXPECT_THROW(store.attach_backend(&lane, &lane, 1, 4), InvalidArgument);
-  store.attach_backend(&lane, &lane, 1, 3);
+TEST_F(ClusterFixture, FormClusterProductIsTheStoredProduct) {
+  // The walk's one-product former and the store agree bitwise, ragged last
+  // cluster included (k = 5 over 12 slices).
+  ClusterStore store(factory, field, 5);
   store.rebuild_all();
-  for (idx c = 0; c < 3; ++c) {
-    for (hubbard::Spin s : hubbard::kSpins) {
-      EXPECT_EQ(linalg::relative_difference(store.cluster(s, c),
-                                            plain.cluster(s, c)),
-                0.0);
-    }
-  }
-}
-
-TEST_F(ClusterFixture, AsyncRebuildMatchesBlockingRebuild) {
-  auto be = backend::make_backend(backend::BackendKind::kGpuSim);
-  backend::BackendBChain up(*be, factory.kinetic().factor());
-  backend::BackendBChain dn(*be, factory.kinetic().factor());
-  ClusterStore store(factory, field, 4);
-  store.attach_backend(&up, &dn);
-  store.rebuild_all();
-
-  ClusterStore blocking(factory, field, 4);
-  blocking.rebuild_all();
-
-  field.flip(5, 3);  // slice 5 lives in cluster 1
-  blocking.rebuild(1);
-  store.defer_rebuild(1);
-  // Readers of the pending cluster form the deferred product first.
+  Matrix out, work;
   for (hubbard::Spin s : hubbard::kSpins) {
-    EXPECT_EQ(linalg::relative_difference(store.cluster(s, 1),
-                                          blocking.cluster(s, 1)),
-              0.0);
-  }
-  field.flip(5, 3);  // restore
-
-  // The reader's formation bills nothing itself: the deferred rebuild's one
-  // call goes to the next profiler that materializes.
-  Profiler prof;
-  store.materialize(&prof);
-  EXPECT_EQ(prof.calls(Phase::kClustering), 1u);
-}
-
-TEST_F(ClusterFixture, MaterializeFormsBothSpinsInOneBilledBracket) {
-  // One chain serves both spins: the pending product is formed as one
-  // two-item composite, bitwise the blocking rebuild's, and billed as one
-  // clustering call with its time.
-  auto be = backend::make_backend(backend::BackendKind::kHost);
-  backend::BackendBChain chain(*be, factory.kinetic().factor(), 2);
-  ClusterStore store(factory, field, 4);
-  store.attach_backend(&chain, &chain, 0, 1);
-  store.rebuild_all();
-  ClusterStore blocking(factory, field, 4);
-  blocking.rebuild_all();
-
-  field.flip(9, 2);  // slice 9 lives in cluster 2
-  blocking.rebuild(2);
-  store.defer_rebuild(2);
-  Profiler prof;
-  store.materialize(&prof);
-  EXPECT_EQ(prof.calls(Phase::kClustering), 1u);
-  EXPECT_GT(prof.seconds(Phase::kClustering), 0.0);
-  for (hubbard::Spin s : hubbard::kSpins) {
-    EXPECT_EQ(linalg::relative_difference(store.cluster(s, 2),
-                                          blocking.cluster(s, 2)),
-              0.0);
-  }
-  // Nothing pending, nothing owed: a second bracket bills nothing.
-  store.materialize(&prof);
-  EXPECT_EQ(prof.calls(Phase::kClustering), 1u);
-  field.flip(9, 2);  // restore
-}
-
-TEST_F(ClusterFixture, LazyFactorAccessOverlapsPendingRebuild) {
-  ClusterStore store(factory, field, 4);
-  store.rebuild_all();
-  store.defer_rebuild(2);
-  // cluster() hands out non-pending clusters as they are and forms the
-  // pending one, per spin, when it is first read; either way the values
-  // match a fresh blocking store.
-  ClusterStore fresh(factory, field, 4);
-  fresh.rebuild_all();
-  for (hubbard::Spin s : {hubbard::Spin::Down, hubbard::Spin::Up}) {
     for (idx c = 0; c < store.num_clusters(); ++c) {
-      EXPECT_EQ(linalg::relative_difference(store.cluster(s, c),
-                                            fresh.cluster(s, c)),
-                0.0);
+      form_cluster_product(factory, field, s, store.cluster_begin(c),
+                           store.cluster_end(c), out, work);
+      EXPECT_EQ(linalg::relative_difference(out, store.cluster(s, c)), 0.0);
     }
   }
-  // Both spins formed: nothing is left to bill twice.
-  Profiler prof;
-  store.materialize(&prof);
-  EXPECT_EQ(prof.calls(Phase::kClustering), 1u);
-  store.materialize(&prof);
-  EXPECT_EQ(prof.calls(Phase::kClustering), 1u);
 }
 
 TEST_F(ClusterFixture, ProfilerCreditsClusteringPhase) {

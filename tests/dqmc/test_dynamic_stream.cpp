@@ -1,18 +1,21 @@
 // The streamed dynamic measurement (TimeDisplacedGreens::stream feeding
-// measure_dynamic segment by segment over the engine's cluster store)
-// against the materialized one (compute(Up), compute(Down) over a private
-// store, then measure_dynamic on the stored slices): bitwise equal across
-// lattice shapes (an odd, non-square one included, so the FFT runs on
-// mixed extents), kinetic modes, backends, thread budgets, a short last
-// segment, a pending deferred rebuild and walker crowds, G(k, tau) within
+// measure_dynamic segment by segment over the side a sweep stored in the
+// engine's boundary stacks: suffixes after a down sweep, prefixes after an
+// up one) against the materialized one (compute(Up), compute(Down) over
+// private stacks, then measure_dynamic on the stored slices): bitwise equal
+// across lattice shapes (an odd, non-square one included, so the FFT runs
+// on mixed extents), kinetic modes, backends, thread budgets, both sweep
+// directions, a short last segment and walker crowds, G(k, tau) within
 // 1e-10 of the O(N^2) oracle — and both equal to a hand-built accumulation
-// at a non-default QR panel width.
+// at a non-default QR panel width. Pushing the sweep's pending product
+// early for the walk leaves the trajectory unchanged.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <tuple>
 #include <utility>
 
+#include "dqmc/checkpoint.h"
 #include "dqmc/cluster_store.h"
 #include "dqmc/dynamic_measurements.h"
 #include "dqmc/engine.h"
@@ -65,7 +68,7 @@ TimeDisplacedGreens displaced_of(DqmcEngine& e) {
                              c.algorithm, c.qr_block);
 }
 
-/// Streamed sample over the engine's store, checked bitwise against the
+/// Streamed sample over the engine's stacks, checked bitwise against the
 /// materialized path on a fresh workspace and its G(k, tau) against the
 /// oracle. Streams twice through `ws` so reused segment buffers are
 /// covered too.
@@ -73,15 +76,13 @@ void expect_stream_matches(DqmcEngine& e, MeasurementWorkspace& ws) {
   const Lattice& lat = e.lattice();
   const double dtau = e.params().dtau();
   const TimeDisplacedGreens tdg = displaced_of(e);
-  const DynamicSample streamed =
-      measure_dynamic(lat, dtau, tdg, e.cluster_store(), ws);
+  const DynamicSample streamed = measure_dynamic(lat, dtau, e, ws);
   MeasurementWorkspace ref_ws(lat);
   const TimeDisplaced up = tdg.compute(Spin::Up);
   const TimeDisplaced dn = tdg.compute(Spin::Down);
   const DynamicSample materialized = measure_dynamic(lat, dtau, up, dn, ref_ws);
   expect_bitwise(streamed, materialized);
-  expect_bitwise(measure_dynamic(lat, dtau, tdg, e.cluster_store(), ws),
-                 materialized);
+  expect_bitwise(measure_dynamic(lat, dtau, e, ws), materialized);
 
   const DynamicSample oracle =
       testing::MeasureReference(lat).dynamic(up, dn, materialized);
@@ -135,21 +136,30 @@ TEST(DynamicStreamEdges, ShortLastSegmentMatchesMaterialized) {
   expect_stream_matches(e, ws);
 }
 
-TEST(DynamicStreamEdges, ReadsTheEngineStoreWhileARebuildIsPending) {
-  // A solo sweep leaves its last cluster's rebuild deferred; queue one more
-  // (from the same field, so the product is unchanged) and stream at once:
-  // the store's accessors must await it.
+TEST(DynamicStreamEdges, PushingThePendingProductLeavesTheTrajectory) {
+  // A sweep leaves its last cluster's product to the next boundary; the
+  // walk pushes it first. Measured after every sweep or never, a chain
+  // runs the same trajectory, and bills the same clustering calls.
   ThreadCountGuard guard(4);
   EngineConfig cfg;
   cfg.cluster_size = 4;
   cfg.kinetic = hubbard::KineticKind::kCheckerboard;
-  DqmcEngine e(Lattice(4, 4), model(16), cfg, 43);
-  e.initialize();
-  e.sweep();
-  ClusterStore& store = e.cluster_store();
-  store.defer_rebuild(store.num_clusters() - 1);
-  MeasurementWorkspace ws(e.lattice());
-  expect_stream_matches(e, ws);
+  DqmcEngine measured(Lattice(4, 4), model(16), cfg, 43);
+  DqmcEngine plain(Lattice(4, 4), model(16), cfg, 43);
+  measured.initialize();
+  plain.initialize();
+  MeasurementWorkspace ws(measured.lattice());
+  for (int sweep = 0; sweep < 3; ++sweep) {
+    measured.sweep();
+    plain.sweep();
+    (void)measure_dynamic(measured.lattice(), measured.params().dtau(),
+                          measured, ws);
+  }
+  measured.sweep();
+  plain.sweep();
+  EXPECT_EQ(trajectory_hash(measured), trajectory_hash(plain));
+  EXPECT_EQ(measured.profiler().calls(Phase::kClustering),
+            plain.profiler().calls(Phase::kClustering));
 }
 
 TEST(DynamicStreamEdges, ReadsEveryWalkerStoreAfterALockstepSweep) {
@@ -234,8 +244,7 @@ TEST(DynamicStreamEdges, HonorsTheConfiguredQrBlock) {
   const Lattice& lat = e.lattice();
   const double dtau = e.params().dtau();
   MeasurementWorkspace ws(lat);
-  const DynamicSample streamed =
-      measure_dynamic(lat, dtau, displaced_of(e), e.cluster_store(), ws);
+  const DynamicSample streamed = measure_dynamic(lat, dtau, e, ws);
   const DynamicSample reference = measure_dynamic(
       lat, dtau, hand_built(e.factory(), e.field(), 5, 8, Spin::Up),
       hand_built(e.factory(), e.field(), 5, 8, Spin::Down), ws);

@@ -263,12 +263,12 @@ TEST(Simulation, BadCheckpointInIsAnInputErrorNamingThePath) {
   cfg.checkpoint_in = dir + "/no_such_checkpoint.txt";
   expect_input_error(cfg, "cannot read");
 
-  cfg.checkpoint_in = dir + "/sim_ckpt_v2.txt";
-  std::ofstream(cfg.checkpoint_in) << "dqmcpp-checkpoint v2\nslices 20\n";
-  expect_input_error(cfg, "v2");
+  cfg.checkpoint_in = dir + "/sim_ckpt_v1.txt";
+  std::ofstream(cfg.checkpoint_in) << "dqmcpp-checkpoint v1\nslices 20\n";
+  expect_input_error(cfg, "v1");
 
   cfg.checkpoint_in = dir + "/sim_ckpt_truncated.txt";
-  std::ofstream(cfg.checkpoint_in) << "dqmcpp-checkpoint v1\nslices 20\n";
+  std::ofstream(cfg.checkpoint_in) << "dqmcpp-checkpoint v3\nslices 20\n";
   expect_input_error(cfg, "sites");
 }
 

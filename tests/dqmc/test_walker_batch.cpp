@@ -154,14 +154,17 @@ INSTANTIATE_TEST_SUITE_P(Backends, WalkerBatchBackends,
                          });
 
 // Crowd wraps keep per-walker device residency: after warmup most slices
-// wrap a G no Metropolis accept touched on at least one spin, so uploads
-// must be getting skipped for every walker.
+// wrap a G no Metropolis accept touched on at least one spin, so over a run
+// of the config's length uploads must be getting skipped for every walker.
 TEST(WalkerBatch, TracksPerWalkerResidency) {
   const SimulationConfig cfg = tiny_config(backend::BackendKind::kGpuSim);
   const Lattice lattice = cfg.make_lattice();
   WalkerBatch batch(lattice, cfg.model, cfg.engine, {11, 12});
   batch.initialize_all();
-  for (idx sweep = 0; sweep < 4; ++sweep) batch.sweep_all();
+  for (idx sweep = 0; sweep < cfg.warmup_sweeps + cfg.measurement_sweeps;
+       ++sweep) {
+    batch.sweep_all();
+  }
   for (idx w = 0; w < batch.walkers(); ++w) {
     EXPECT_GT(batch.engine(w).wrap_uploads_skipped(), 0u) << "walker " << w;
   }

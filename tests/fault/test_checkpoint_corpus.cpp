@@ -1,5 +1,5 @@
 // Checkpoint loader against a corpus of damaged files: every byte prefix
-// of a valid v1 checkpoint and single-byte changes at every offset. A
+// of a valid v3 checkpoint and single-byte changes at every offset. A
 // damaged file throws a classified dqmc::Error, or loads faithfully: the
 // original trajectory when only whitespace changed, another state when a
 // digit or a field sign did. It never crashes, reads past its data, or
@@ -162,8 +162,8 @@ TEST(CheckpointCorpus, ZeroRngStateIsRejected) {
 
 TEST(CheckpointCorpus, OtherVersionsAreRejectedByName) {
   std::string text = valid_blob();
-  ASSERT_EQ(text.rfind("dqmcpp-checkpoint v1\n", 0), 0u);
-  for (const char* version : {"v2", "v0", "v10"}) {
+  ASSERT_EQ(text.rfind("dqmcpp-checkpoint v3\n", 0), 0u);
+  for (const char* version : {"v1", "v2", "v10"}) {
     text.replace(text.find(' ') + 1, text.find('\n') - text.find(' ') - 1,
                  version);
     DqmcEngine engine(Lattice(2, 2), params(), config(), 0);
@@ -175,6 +175,52 @@ TEST(CheckpointCorpus, OtherVersionsAreRejectedByName) {
       EXPECT_NE(std::string(e.what()).find(version), std::string::npos)
           << e.what();
     }
+  }
+}
+
+// The direction of the next sweep is part of the Markov state: a file
+// without it, or with anything but "up" or "down", is an input error naming
+// it; a saved direction is the one the loaded engine sweeps next.
+TEST(CheckpointCorpus, MissingOrGarbledDirectionIsAnInputError) {
+  const std::string blob = valid_blob();
+  const std::size_t begin = blob.find("direction ");
+  ASSERT_NE(begin, std::string::npos);
+  const std::size_t end = blob.find('\n', begin) + 1;
+  const std::string cases[] = {
+      blob.substr(0, begin) + blob.substr(end),
+      blob.substr(0, begin) + "direction sideways\n" + blob.substr(end),
+      blob.substr(0, begin) + "direction 1\n" + blob.substr(end),
+      blob.substr(0, begin) + "direction\n" + blob.substr(end),
+      blob.substr(0, begin) + "dir up\n" + blob.substr(end),
+  };
+  for (const std::string& text : cases) {
+    DqmcEngine engine(Lattice(2, 2), params(), config(), 0);
+    std::istringstream in(text);
+    try {
+      load_checkpoint(in, engine);
+      ADD_FAILURE() << "loaded:\n" << text;
+    } catch (const InputError& e) {
+      EXPECT_NE(std::string(e.what()).find("direction"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(CheckpointCorpus, TheSavedDirectionIsTheNextSweeps) {
+  for (const int sweeps : {1, 2}) {
+    DqmcEngine engine(Lattice(2, 2), params(), config(), 20261019);
+    engine.initialize();
+    for (int i = 0; i < sweeps; ++i) engine.sweep();
+    std::stringstream blob;
+    save_checkpoint(blob, engine);
+    const SweepDirection next =
+        sweeps == 1 ? SweepDirection::kDown : SweepDirection::kUp;
+    EXPECT_NE(blob.str().find(std::string("direction ") +
+                              sweep_direction_name(next) + "\n"),
+              std::string::npos);
+    DqmcEngine loaded(Lattice(2, 2), params(), config(), 0);
+    load_checkpoint(blob, loaded);
+    EXPECT_EQ(loaded.direction(), next);
   }
 }
 

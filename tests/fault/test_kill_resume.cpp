@@ -103,7 +103,9 @@ TEST_P(KillResume, SweepBoundaryKillIsBitwise) {
   ref.initialize();
   for (idx g = 0; g < kTotalSweeps; ++g) ref.sweep();
 
-  for (idx kill_at : {idx{1}, idx{3}, idx{5}}) {
+  // Odd counts end an up sweep (the resumed chain sweeps down next), even
+  // ones a down sweep.
+  for (idx kill_at : {idx{1}, idx{2}, idx{3}, idx{5}}) {
     DqmcEngine victim(lat, params_for(pt), config_for(pt), 41);
     victim.initialize();
     for (idx g = 0; g < kill_at; ++g) victim.sweep();
@@ -131,41 +133,46 @@ TEST_P(KillResume, MidSweepKillAtUnalignedSliceIsBitwise) {
   ref.initialize();
   for (idx g = 0; g < kTotalSweeps; ++g) ref.sweep();
 
-  // Kill inside sweep #2 right after slice k finishes: the next slice k+1
-  // is NOT a cluster boundary, so the victim holds a half-done sweep
-  // (flipped spins, a stale G, spent RNG draws). The sweep boundary before
-  // it is the only resume point.
-  const idx kill_full = 2;
-  const idx kill_slice = pt.k;
+  // Kill inside a down sweep (#2) and an up sweep (#3) right after slice
+  // k+1 finishes: the slice visited next (k going down, k+2 going up) is in
+  // the same cluster, so the victim holds a half-done sweep (flipped spins,
+  // a stale G, spent RNG draws). The sweep boundary before it is the only
+  // resume point.
+  const idx kill_slice = pt.k + 1;
   ASSERT_LT(kill_slice + 1, pt.slices);
   ASSERT_NE((kill_slice + 1) % pt.k, idx{0});
+  ASSERT_NE(kill_slice % pt.k, idx{0});
 
-  DqmcEngine victim(lat, params_for(pt), config_for(pt), 59);
-  victim.initialize();
-  for (idx g = 0; g < kill_full; ++g) victim.sweep();
-  std::stringstream ckpt;
-  save_checkpoint(ckpt, victim);
-  const std::string boundary = ckpt.str();
-  try {
-    victim.sweep([&](idx slice) {
-      if (slice == kill_slice) throw KillSignal{};
-    });
-    FAIL() << "kill hook never fired";
-  } catch (const KillSignal&) {
+  for (const idx kill_full : {idx{1}, idx{2}}) {
+    const std::string where =
+        "mid-sweep kill after " + std::to_string(kill_full) + " sweeps, ";
+    DqmcEngine victim(lat, params_for(pt), config_for(pt), 59);
+    victim.initialize();
+    for (idx g = 0; g < kill_full; ++g) victim.sweep();
+    std::stringstream ckpt;
+    save_checkpoint(ckpt, victim);
+    const std::string boundary = ckpt.str();
+    try {
+      victim.sweep([&](idx slice) {
+        if (slice == kill_slice) throw KillSignal{};
+      });
+      FAIL() << "kill hook never fired";
+    } catch (const KillSignal&) {
+    }
+
+    // A fresh process replays the interrupted sweep from the boundary.
+    DqmcEngine resumed(lat, params_for(pt), config_for(pt), 0);
+    load_checkpoint(ckpt, resumed);
+    for (idx g = kill_full; g < kTotalSweeps; ++g) resumed.sweep();
+    expect_bitwise_equal(ref, resumed, where + "fresh engine");
+
+    // So does the killed engine itself: loading the boundary drops every
+    // trace of the abandoned half sweep.
+    std::stringstream again(boundary);
+    load_checkpoint(again, victim);
+    for (idx g = kill_full; g < kTotalSweeps; ++g) victim.sweep();
+    expect_bitwise_equal(ref, victim, where + "killed engine");
   }
-
-  // A fresh process replays the interrupted sweep from the boundary.
-  DqmcEngine resumed(lat, params_for(pt), config_for(pt), 0);
-  load_checkpoint(ckpt, resumed);
-  for (idx g = kill_full; g < kTotalSweeps; ++g) resumed.sweep();
-  expect_bitwise_equal(ref, resumed, "mid-sweep kill, fresh engine");
-
-  // So does the killed engine itself: loading the boundary drops every
-  // trace of the abandoned half sweep.
-  std::stringstream again(boundary);
-  load_checkpoint(again, victim);
-  for (idx g = kill_full; g < kTotalSweeps; ++g) victim.sweep();
-  expect_bitwise_equal(ref, victim, "mid-sweep kill, killed engine");
 }
 
 TEST_P(KillResume, SupervisedInjectedKillMatchesCleanRun) {

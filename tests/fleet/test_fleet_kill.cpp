@@ -135,6 +135,31 @@ TEST_F(FleetKillTest, DeathMetricMatchesTheReport) {
   EXPECT_EQ(deaths->value(), disturbed.fleet.worker_deaths);
 }
 
+TEST_F(FleetKillTest, ReassignedChainKeepsItsPhaseProfile) {
+  // Worker 0 dies at sweep 8 of its first chain, after the snapshot at 6:
+  // the survivor resumes the chain from it, and the merged profile still
+  // bills every sweep once. Delayed-update calls follow the trajectory
+  // alone; the resume rebuilds its stacks, so stratification and
+  // clustering bill at least as many calls as undisturbed.
+  const core::SimulationConfig cfg = small_config();
+  const core::SupervisorPolicy policy = test_policy();
+  const FleetResult undisturbed = run_fleet(cfg, policy, fleet_config(2), 4);
+  FleetConfig kill = fleet_config(2);
+  kill.worker_failpoints = "fleet.worker.kill:8";
+  kill.failpoint_worker = 0;
+  const FleetResult disturbed = run_fleet(cfg, policy, kill, 4);
+  ASSERT_EQ(disturbed.fleet.worker_deaths, 1u);
+  ASSERT_EQ(disturbed.results.trajectory_hash,
+            undisturbed.results.trajectory_hash);
+  const Profiler& got = disturbed.results.profiler;
+  const Profiler& want = undisturbed.results.profiler;
+  EXPECT_EQ(got.calls(Phase::kDelayedUpdate), want.calls(Phase::kDelayedUpdate));
+  EXPECT_EQ(got.calls(Phase::kWrapping), want.calls(Phase::kWrapping));
+  EXPECT_GE(got.calls(Phase::kStratification),
+            want.calls(Phase::kStratification));
+  EXPECT_GE(got.calls(Phase::kClustering), want.calls(Phase::kClustering));
+}
+
 TEST_F(FleetKillTest, HostTwoWorkersKillWorkerOne) {
   run_kill_matrix(backend::BackendKind::kHost, 2, 1, 7);
 }

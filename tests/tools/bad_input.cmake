@@ -44,14 +44,14 @@ file(WRITE bad_input_steal.in "fleet_workers = 2\nfleet_steal = 1\n")
 expect_rejected(fleet_steal --config bad_input_steal.in)
 set(small_run --lx 2 --beta 1 --slices 8 --warmup 1 --sweeps 2)
 expect_rejected(no_such.ckpt ${small_run} --checkpoint-in no_such.ckpt)
-file(WRITE bad_input_v2.ckpt "dqmcpp-checkpoint v2\nslices 8\nsites 4\n")
-expect_rejected(v2 ${small_run} --checkpoint-in bad_input_v2.ckpt)
-file(WRITE bad_input_cut.ckpt "dqmcpp-checkpoint v1\nslices 8\n")
+file(WRITE bad_input_v1.ckpt "dqmcpp-checkpoint v1\nslices 8\nsites 4\n")
+expect_rejected(v1 ${small_run} --checkpoint-in bad_input_v1.ckpt)
+file(WRITE bad_input_cut.ckpt "dqmcpp-checkpoint v3\nslices 8\n")
 expect_rejected(bad_input_cut.ckpt ${small_run}
                 --checkpoint-in bad_input_cut.ckpt)
 string(REPEAT "++++\n" 8 rows)
-file(WRITE bad_input_zero_rng.ckpt "dqmcpp-checkpoint v1\nslices 8\n"
-     "sites 4\nrng 0 0 0 0\nsign 1\nfield\n${rows}")
+file(WRITE bad_input_zero_rng.ckpt "dqmcpp-checkpoint v3\nslices 8\n"
+     "sites 4\nrng 0 0 0 0\nsign 1\ndirection up\nfield\n${rows}")
 expect_rejected(rng ${small_run} --checkpoint-in bad_input_zero_rng.ckpt)
 expect_exit(1 no_such_dir/x.ckpt --warmup 1 --sweeps 2
             --checkpoint-out no_such_dir/x.ckpt)

@@ -2,6 +2,9 @@
 # as a 2-worker fleet must fold to the same trajectory hash, and only the
 # fleet run's manifest carries a "fleet" section. Crowds of one (the default
 # walker_batch) and one crowd of all four chains must fold to that hash too.
+# A chain stopped after an odd number of sweeps (an up sweep, so the next
+# one runs down) and resumed from its checkpoint_out through checkpoint_in
+# reaches the undisturbed run's hash.
 #
 #   cmake -DDRIVER=<dqmc_run> -DOUT=<dir> -P driver_parity.cmake
 set(chains --walkers 4 --warmup 2 --sweeps 4 --seed 11)
@@ -61,6 +64,31 @@ foreach(width default 4)
                         "${hash}, walker_batch 2 ${crowd_hash}")
   endif()
 endforeach()
+function(run_solo name)
+  execute_process(
+    COMMAND ${DRIVER} --seed 11 ${ARGN}
+            --crash-dump ${OUT}/parity_crash.json
+            --metrics-json ${OUT}/parity_${name}.json
+    RESULT_VARIABLE rc OUTPUT_VARIABLE log ERROR_VARIABLE log)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${name} run failed (${rc}):\n${log}")
+  endif()
+  file(READ ${OUT}/parity_${name}.json run)
+  string(JSON hash GET "${run}" manifest trajectory_hash)
+  set(${name}_hash ${hash} PARENT_SCOPE)
+endfunction()
+run_solo(whole --warmup 1 --sweeps 4)
+run_solo(leg --warmup 1 --sweeps 2 --checkpoint-out ${OUT}/parity_leg.ckpt)
+file(READ ${OUT}/parity_leg.ckpt leg_ckpt)
+if(NOT leg_ckpt MATCHES "\ndirection down\n")
+  message(FATAL_ERROR "a checkpoint after 3 sweeps must resume downward")
+endif()
+run_solo(resumed --warmup 0 --sweeps 2 --checkpoint-in ${OUT}/parity_leg.ckpt)
+if(NOT resumed_hash STREQUAL whole_hash)
+  message(FATAL_ERROR "trajectory_hash differs: resumed after an up sweep "
+                      "${resumed_hash}, undisturbed ${whole_hash}")
+endif()
+
 message(STATUS "trajectory_hash ${fleet_hash} on the fleet and at "
                "walker_batch default, 2 and 4; fleet ran ${fleet_chains} "
-               "chains")
+               "chains; ${whole_hash} resumed after an up sweep")
