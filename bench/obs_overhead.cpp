@@ -1,4 +1,4 @@
-// Overhead of the observability layer (obs::Tracer / obs::MetricsRegistry /
+// Overhead of the observability layer (obs::EventLog / obs::MetricsRegistry /
 // obs::HealthMonitor) on the DQMC hot paths.
 //
 // The contract is "zero overhead when disabled": every instrumented call
@@ -13,28 +13,27 @@
 // site is armed (the probed site still must not slow down beyond the
 // registry lookup). Compile-out (-DDQMC_NO_FAILPOINTS) is proven by
 // tests/fault/test_failpoint_compileout.
-// The flight recorder (src/obs/flight_recorder.h) extends the contract: a
-// DQMC_FLIGHT_EVENT site costs one relaxed atomic load while the recorder is
-// disarmed (BM_FlightDisarmed; budget < 1% of a sweep — the CTest guard is
-// tests/obs/test_flight_overhead), and armed recording stays a bounded
-// lock-free ring write (BM_FlightArmed). Compile-out
-// (-DDQMC_NO_FLIGHT_RECORDER) is proven by tests/obs/test_flight_compileout.
+// The event log (src/obs/event_log.h) extends the contract: a DQMC_EVENT
+// site costs one relaxed atomic load while the log is neither armed nor
+// tracing (BM_EventDisarmed; budget < 1% of a sweep — the CTest guard is
+// tests/obs/test_event_overhead), and an armed event (BM_EventArmed) or a
+// traced span (BM_TraceSpanEnabled) is one lock-free store into the calling
+// thread's ring.
 #include <benchmark/benchmark.h>
 
 #include "common/profiler.h"
 #include "dqmc/simulation.h"
 #include "fault/failpoint.h"
-#include "obs/flight_recorder.h"
+#include "obs/event_log.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace {
 
 using namespace dqmc;
 
 void set_all_obs(bool enabled) {
-  obs::Tracer::global().set_enabled(enabled);
+  obs::event_log().set_tracing(enabled);
   obs::metrics().set_enabled(enabled);
   obs::health().set_enabled(enabled);
 }
@@ -51,7 +50,7 @@ void BM_ScopedPhase(benchmark::State& state) {
 BENCHMARK(BM_ScopedPhase);
 
 void BM_TraceSpanDisabled(benchmark::State& state) {
-  obs::Tracer::global().set_enabled(false);
+  obs::event_log().set_tracing(false);
   for (auto _ : state) {
     obs::TraceSpan span("bench_span", "bench");
     benchmark::DoNotOptimize(&span);
@@ -60,14 +59,14 @@ void BM_TraceSpanDisabled(benchmark::State& state) {
 BENCHMARK(BM_TraceSpanDisabled);
 
 void BM_TraceSpanEnabled(benchmark::State& state) {
-  obs::Tracer& tracer = obs::Tracer::global();
-  tracer.set_enabled(true);
+  obs::EventLog& log = obs::event_log();
+  log.set_tracing(true);
   for (auto _ : state) {
     obs::TraceSpan span("bench_span", "bench");
     benchmark::DoNotOptimize(&span);
   }
-  tracer.set_enabled(false);
-  tracer.reset();
+  log.set_tracing(false);
+  log.reset();
 }
 BENCHMARK(BM_TraceSpanEnabled);
 
@@ -89,25 +88,24 @@ void BM_CounterEnabled(benchmark::State& state) {
 }
 BENCHMARK(BM_CounterEnabled);
 
-void BM_FlightDisarmed(benchmark::State& state) {
-  obs::flight_recorder().set_enabled(false);
+void BM_EventDisarmed(benchmark::State& state) {
+  obs::event_log().set_armed(false);
   for (auto _ : state) {
-    DQMC_FLIGHT_EVENT(obs::FlightEventKind::kNote, "bench.flight");
+    DQMC_EVENT(obs::EventKind::kNote, "bench.event");
   }
 }
-BENCHMARK(BM_FlightDisarmed);
+BENCHMARK(BM_EventDisarmed);
 
-void BM_FlightArmed(benchmark::State& state) {
-  obs::FlightRecorder& fr = obs::flight_recorder();
-  fr.set_enabled(true);
+void BM_EventArmed(benchmark::State& state) {
+  obs::EventLog& log = obs::event_log();
+  log.set_armed(true);
   for (auto _ : state) {
-    DQMC_FLIGHT_EVENT(obs::FlightEventKind::kNote, "bench.flight", "armed",
-                      1.0, 2.0);
+    DQMC_EVENT(obs::EventKind::kNote, "bench.event", "armed", 1.0, 2.0);
   }
-  fr.set_enabled(false);
-  fr.reset();
+  log.set_armed(false);
+  log.reset();
 }
-BENCHMARK(BM_FlightArmed);
+BENCHMARK(BM_EventArmed);
 
 void BM_FailpointDisarmed(benchmark::State& state) {
   fault::failpoints().disarm_all();
@@ -131,8 +129,8 @@ void BM_FailpointArmedOtherSite(benchmark::State& state) {
 BENCHMARK(BM_FailpointArmedOtherSite);
 
 // End-to-end: one full 4x4 sweep with the observability layer off vs on.
-// The two medians must agree within noise when obs is off (satellite check;
-// the CTest variant of this guard lives in tests/common/test_trace.cpp).
+// The two medians must agree within noise when obs is off (the CTest variant
+// of this guard lives in tests/obs/test_event_log.cpp).
 void BM_Sweep(benchmark::State& state) {
   const bool obs_on = state.range(0) != 0;
   set_all_obs(obs_on);
@@ -149,15 +147,15 @@ void BM_Sweep(benchmark::State& state) {
   for (auto _ : state) {
     core::SweepStats stats = engine.sweep();
     benchmark::DoNotOptimize(stats.accepted);
-    // Keep the trace ring from wrapping (and its memory bounded) so the
-    // enabled variant measures steady-state emission, not reallocation.
-    if (obs_on && obs::Tracer::global().recorded() > (1u << 14)) {
-      obs::Tracer::global().reset();
+    // Keep the ring from wrapping so the enabled variant measures
+    // steady-state emission.
+    if (obs_on && obs::event_log().recorded() > (1u << 14)) {
+      obs::event_log().reset();
     }
   }
 
   set_all_obs(false);
-  obs::Tracer::global().reset();
+  obs::event_log().reset();
   obs::metrics().reset();
   obs::health().reset();
 }

@@ -49,10 +49,11 @@
 //   --metrics-json FILE      write the run manifest (docs/OBSERVABILITY.md);
 //                            a fleet run adds its "fleet" section
 //   --trace-json FILE        Chrome-trace timeline of every pipeline span
-//                            (not in fleet runs: workers export no trace)
+//                            and forensic event (not in fleet runs:
+//                            workers export no trace)
 //   --telemetry-jsonl FILE   stream progress/ETA/throughput JSON lines
 //   --telemetry-interval MS  min spacing between telemetry records (250)
-//   --crash-dump FILE        flight-recorder dump on a fault, fatal signal
+//   --crash-dump FILE        event-log crash dump on a fault, fatal signal
 //                            or uncaught exception (default crash_dump.json;
 //                            empty disables)
 //   --worker-failpoint SPEC  fleet drill: arm SPEC inside worker processes
@@ -76,11 +77,10 @@
 #include "dqmc/supervisor.h"
 #include "fault/failpoint.h"
 #include "fleet/coordinator.h"
-#include "obs/flight_recorder.h"
+#include "obs/event_log.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
-#include "obs/trace.h"
 
 namespace {
 
@@ -173,18 +173,19 @@ int main(int argc, char** argv) {
   const std::string& dump_path = inv.dump_path;
 
   // Metrics and health are cheap; keep them on for the summary and manifest.
-  // Tracing records every span, so it is opt-in via --trace-json. The
-  // flight recorder is always armed: on a fault the supervisor flushes the
-  // dump; on a fatal signal or uncaught exception the crash handlers also
-  // flush the trace/metrics artifacts that would otherwise be lost.
+  // Tracing records every span, so it is opt-in via --trace-json. The event
+  // log is always armed: on a fault the supervisor flushes the dump; on a
+  // fatal signal or uncaught exception the crash handlers also flush the
+  // trace/metrics artifacts that would otherwise be lost.
   obs::metrics().set_enabled(true);
   obs::health().set_enabled(true);
-  obs::Tracer::global().set_enabled(!trace_path.empty());
-  obs::Tracer::global().set_current_thread_name("main");
-  obs::flight_recorder().set_enabled(true);
-  obs::flight_recorder().set_dump_path(dump_path);
-  obs::flight_recorder().set_export_paths(trace_path, metrics_path);
-  obs::flight_recorder().install_crash_handlers();
+  obs::EventLog& log = obs::event_log();
+  log.set_tracing(!trace_path.empty());
+  log.set_armed(true);
+  log.set_current_thread_name("main");
+  log.set_dump_path(dump_path);
+  log.set_export_paths(trace_path, metrics_path);
+  log.install_crash_handlers();
 
   std::printf("lattice %lldx%lldx%lld  t=%.3f t'=%.3f U=%.3f mu=%.3f "
               "beta=%.3f L=%lld (dtau=%.4f)\n",
@@ -350,10 +351,11 @@ int main(int argc, char** argv) {
     std::printf("manifest written to %s\n", metrics_path.c_str());
   }
   if (!trace_path.empty()) {
-    obs::Tracer::global().write_json(trace_path);
-    std::printf("trace written to %s (%zu events, %llu dropped)\n",
-                trace_path.c_str(), obs::Tracer::global().recorded(),
-                static_cast<unsigned long long>(obs::Tracer::global().dropped()));
+    log.write_json(trace_path);
+    std::printf("trace written to %s (%llu events, %llu dropped)\n",
+                trace_path.c_str(),
+                static_cast<unsigned long long>(log.recorded()),
+                static_cast<unsigned long long>(log.dropped()));
   }
   return 0;
 }

@@ -3,7 +3,7 @@
 #include <numeric>
 
 #include "fault/failpoint.h"
-#include "obs/flight_recorder.h"
+#include "obs/event_log.h"
 #include "parallel/task_runtime.h"
 #include "parallel/topology.h"
 
@@ -19,8 +19,8 @@ namespace {
 // blamed for a batched launch).
 void enqueue_failpoint(const ComputeBackend& backend) {
   const bool gpusim = backend.kind() == BackendKind::kGpuSim;
-  DQMC_FLIGHT_EVENT(obs::FlightEventKind::kEnqueue, "bchain.composite",
-                    gpusim ? "gpusim" : "host");
+  DQMC_EVENT(obs::EventKind::kEnqueue, "bchain.composite",
+             gpusim ? "gpusim" : "host");
   DQMC_FAILPOINT("backend.enqueue");
   DQMC_FAILPOINT(gpusim ? "backend.enqueue.gpusim" : "backend.enqueue.host");
 }

@@ -7,7 +7,7 @@
 
 #include "common/error.h"
 #include "common/hexio.h"
-#include "obs/trace.h"
+#include "obs/event_log.h"
 
 namespace dqmc {
 
@@ -117,10 +117,10 @@ double ScopedPhase::close() {
   seconds_ = std::chrono::duration<double>(stop - start_).count();
   if (prof_ == nullptr) return seconds_;
   prof_->end(stop, calls_);
-  obs::Tracer& tracer = obs::Tracer::global();
-  if (tracer.enabled()) {
-    tracer.complete(phase_name(phase_), "phase", tracer.to_us(start_),
-                    seconds_ * 1e6, arg_name_, arg_value_);
+  obs::EventLog& log = obs::event_log();
+  if (log.tracing()) {
+    log.span(phase_name(phase_), "phase", log.to_us(start_), seconds_ * 1e6,
+             arg_name_, arg_value_);
   }
   return seconds_;
 }

@@ -104,7 +104,7 @@ class Profiler {
 
 /// RAII bracket crediting its lifetime to one phase of a profiler as
 /// `calls` calls, and — when tracing is enabled — emitting the same interval
-/// as a "phase" span on the global tracer (with the optional arg()). A null
+/// as a "phase" span in the global event log (with the optional arg()). A null
 /// profiler bills nothing and emits no span; close() still returns the
 /// interval.
 class ScopedPhase {

@@ -9,7 +9,7 @@
 #include "common/stopwatch.h"
 #include "dqmc/checkpoint.h"
 #include "fault/failpoint.h"
-#include "obs/flight_recorder.h"
+#include "obs/event_log.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "parallel/parallel_for.h"
@@ -209,12 +209,6 @@ void CrowdSupervisor::run() {
   int attempt = 0;
   bool need_restore = false;
 
-  // Ambient identity for flight events and the crash-dump header while
-  // this crowd drives the shared backend.
-  obs::flight_recorder().set_context(
-      -1, static_cast<std::int32_t>(
-              first_ / config_.walker_batch));
-
   if (!resume_ && !config_.checkpoint_in.empty()) read_checkpoint_in();
 
   while (done_ < total || !batch_) {
@@ -239,14 +233,15 @@ void CrowdSupervisor::run() {
       throw;  // bad input, not a fault: no retry can fix it
     } catch (const std::exception& e) {
       const Classified c = classify(e);
-      if (c.walker >= 0) {
+      const std::int32_t walker =
+          c.walker >= 0 ? static_cast<std::int32_t>(first_ + c.walker) : -1;
+      if (walker >= 0) {
         // Attribute the fault to the walker before the crowd-wide recovery
         // decision is taken (the dump's event tail shows both).
-        DQMC_FLIGHT_EVENT(obs::FlightEventKind::kNote, "walker.fault",
-                          c.site.c_str(), 0.0, 0.0,
-                          static_cast<std::int32_t>(first_ + c.walker));
+        DQMC_EVENT(obs::EventKind::kNote, "walker.fault", c.site.c_str(), 0.0,
+                   0.0, walker, crowd_id());
       }
-      if (!recover(c.site, c.cls, e.what(), ++attempt)) throw;
+      if (!recover(c.site, c.cls, e.what(), ++attempt, walker)) throw;
       // A fault while restoring (or starting) loops back into the same
       // recovery ladder: need_restore stays set until a restore commits.
       need_restore = true;
@@ -330,23 +325,27 @@ void CrowdSupervisor::restore() {
 }
 
 bool CrowdSupervisor::recover(const std::string& site, fault::FaultClass cls,
-                              const std::string& what, int attempt) {
+                              const std::string& what, int attempt,
+                              std::int32_t walker) {
   fault::FaultReport& rep = report();
   ++rep.faults;
   if (cls == fault::FaultClass::kHealthTrip) ++rep.health_trips;
   obs::metrics().count("fault.observed");
 
   // Every decision leaves a forensic artifact: the event lands in the
-  // report and the flight recorder, and the crash dump (when a path is
-  // configured) is rewritten with the freshest tail.
+  // report and the event log, and the crash dump (when a path is
+  // configured) is rewritten with the freshest tail. Both name this crowd
+  // and the faulting walker: crowds run side by side.
   const auto decide = [&](const char* action, double backoff) {
     rep.events.push_back(fault::FaultEvent{site, fault::fault_class_name(cls),
                                            action, done_, attempt, backoff,
                                            what});
-    DQMC_FLIGHT_EVENT(obs::FlightEventKind::kRecovery, site.c_str(), action,
-                      static_cast<double>(done_),
-                      static_cast<double>(attempt));
-    obs::flight_recorder().write_crash_dump("fault:" + site);
+    DQMC_EVENT(obs::EventKind::kRecovery, site.c_str(), action,
+               static_cast<double>(done_), static_cast<double>(attempt),
+               walker, crowd_id());
+    obs::event_log().write_crash_dump(
+        "fault:" + site,
+        {walker, crowd_id(), static_cast<std::int64_t>(done_)});
   };
   if (attempt <= policy_.max_retries) {
     ++rep.retries;
@@ -464,9 +463,9 @@ void CrowdSupervisor::take_checkpoints(idx sweep) {
   ckpts_ = std::move(fresh);
   ckpt_sweep_ = sweep;
   report().checkpoints += static_cast<std::uint64_t>(walkers_);
-  DQMC_FLIGHT_EVENT(obs::FlightEventKind::kCheckpoint, "checkpoint.save",
-                    "crowd", static_cast<double>(sweep),
-                    static_cast<double>(walkers_));
+  DQMC_EVENT(obs::EventKind::kCheckpoint, "checkpoint.save", "crowd",
+             static_cast<double>(sweep), static_cast<double>(walkers_), -1,
+             crowd_id());
 }
 
 void CrowdSupervisor::commit(idx seg_end) {
@@ -480,7 +479,6 @@ void CrowdSupervisor::commit(idx seg_end) {
   }
   discard_scratch();
   done_ = seg_end;
-  obs::flight_recorder().set_sweep(static_cast<std::int64_t>(done_));
 }
 
 void CrowdSupervisor::discard_scratch() {
@@ -509,7 +507,6 @@ void CrowdSupervisor::finish() {
   for (idx w = 0; w < walkers_; ++w) {
     collect_walker(*batch_, w, *partials_[index(w)]);
   }
-  obs::flight_recorder().set_context(-1, -1);
 }
 
 SimulationResults run_supervised_simulation(const SimulationConfig& config,

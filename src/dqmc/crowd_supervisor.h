@@ -127,6 +127,10 @@ class CrowdSupervisor {
     return config_.seed + static_cast<std::uint64_t>(first_ + w);
   }
   fault::FaultReport& report() { return partials_[index(0)]->fault_report; }
+  /// The crowd id stamped on this crowd's events and crash dumps.
+  std::int32_t crowd_id() const {
+    return static_cast<std::int32_t>(first_ / config_.walker_batch);
+  }
 
   std::unique_ptr<WalkerBatch> make_batch() const;
   void start_batch();
@@ -138,8 +142,10 @@ class CrowdSupervisor {
   void initialize_batch();
   void restore();
   void load_all_from_ckpts();
+  /// Take the recovery decision for a fault; `walker` is the faulting
+  /// chain, or -1 for a crowd-level fault.
   bool recover(const std::string& site, fault::FaultClass cls,
-               const std::string& what, int attempt);
+               const std::string& what, int attempt, std::int32_t walker);
   void run_segment(idx g_begin, idx g_end);
   void add_stats(const std::vector<SweepStats>& stats);
   void check_health();

@@ -5,10 +5,9 @@
 #include <cstdio>
 #include <fstream>
 
+#include "obs/event_log.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
-#include "obs/flight_recorder.h"
-#include "obs/trace.h"
 #include "parallel/task_runtime.h"
 #include "parallel/topology.h"
 
@@ -132,7 +131,7 @@ obs::Json stable_double(double v) {
 }  // namespace
 
 obs::Json run_manifest(const SimulationResults& results) {
-  const obs::Tracer& tracer = obs::Tracer::global();
+  const obs::EventLog& log = obs::event_log();
   return obs::Json::object()
       .set("manifest", obs::Json::object()
                            .set("program", "dqmcpp")
@@ -151,16 +150,12 @@ obs::Json run_manifest(const SimulationResults& results) {
       .set("runtime", runtime_json())
       .set("fault", results.fault_report.json_value())
       .set("health", obs::health().json_value())
-      .set("trace", obs::Json::object()
-                        .set("enabled", tracer.enabled())
-                        .set("recorded", tracer.recorded())
-                        .set("dropped", tracer.dropped()))
-      .set("flight", obs::Json::object()
-                         .set("enabled", obs::flight_recorder().enabled())
-                         .set("recorded", obs::flight_recorder().recorded())
-                         .set("dropped", obs::flight_recorder().dropped())
-                         .set("dump_path",
-                              obs::flight_recorder().dump_path()))
+      .set("events", obs::Json::object()
+                         .set("tracing", log.tracing())
+                         .set("armed", log.armed())
+                         .set("recorded", log.recorded())
+                         .set("dropped", log.dropped())
+                         .set("dump_path", log.dump_path()))
       // Walker-crowd shape of the run: crowd size and crowd count, both 0
       // when the chains stepped unbatched.
       .set("batch", obs::Json::object()

@@ -13,9 +13,10 @@
 namespace dqmc::core {
 
 /// Build the manifest document for `results`. Reads the GLOBAL
-/// obs::MetricsRegistry / obs::HealthMonitor / obs::Tracer state, so call
+/// obs::MetricsRegistry / obs::HealthMonitor / obs::EventLog state, so call
 /// it before resetting them. Top-level keys: "manifest", "config",
-/// "phases", "metrics", "health", "trace", "fault".
+/// "phases", "metrics", "backend", "runtime", "fault", "health", "events",
+/// "batch" (a fleet run adds "fleet").
 obs::Json run_manifest(const SimulationResults& results);
 
 /// The deterministic subset of the manifest used as a golden regression

@@ -1,7 +1,7 @@
 #include "fault/failpoint.h"
 
 #include "common/env.h"
-#include "obs/flight_recorder.h"
+#include "obs/event_log.h"
 #include "obs/metrics.h"
 
 namespace dqmc::fault {
@@ -45,7 +45,7 @@ FailPointRegistry& FailPointRegistry::global() {
     // Crash dumps carry the registry state; registering here (first use)
     // keeps obs -> fault dependency-free while every run that touches a
     // fail point gets the section.
-    obs::flight_recorder().register_section("failpoints", [r] {
+    obs::event_log().register_section("failpoints", [r] {
       obs::Json sites = obs::Json::object();
       for (const auto& [site, st] : r->sites()) {
         sites.set(site, obs::Json::object()
@@ -156,10 +156,9 @@ bool FailPointRegistry::fire(const char* site, std::uint64_t* hit_out) {
   }
   if (hit_out) *hit_out = st.hits;
   obs::metrics().count(std::string("fault.fired.") + site);
-  DQMC_FLIGHT_EVENT(obs::FlightEventKind::kFailpoint, site,
-                    fault_class_name(fault_class_for_site(site)),
-                    static_cast<double>(st.hits),
-                    static_cast<double>(st.fired));
+  DQMC_EVENT(obs::EventKind::kFailpoint, site,
+             fault_class_name(fault_class_for_site(site)),
+             static_cast<double>(st.hits), static_cast<double>(st.fired));
   return true;
 }
 

@@ -11,7 +11,7 @@
 #include "fault/failpoint.h"
 #include "fleet/serial.h"
 #include "fleet/wire.h"
-#include "obs/flight_recorder.h"
+#include "obs/event_log.h"
 #include "obs/progress.h"
 #include "parallel/topology.h"
 
@@ -192,17 +192,17 @@ void worker_main(const SimulationConfig& config,
     fault::failpoints().arm_spec(fleet.worker_failpoints);
   }
 
-  // The flight recorder's artifact paths crossed the fork too: a worker
+  // The event log's artifact paths crossed the fork too: a worker
   // never writes the coordinator's dump, trace or manifest, only its own
   // per-worker dump.
   const long pid = static_cast<long>(::getpid());
   std::string dump_path, telemetry_path;
   if (!fleet.crash_dump_path.empty()) {
     dump_path = worker_unique_path(fleet.crash_dump_path, worker_index, pid);
-    obs::flight_recorder().set_enabled(true);
+    obs::event_log().set_armed(true);
   }
-  obs::flight_recorder().set_dump_path(dump_path);
-  obs::flight_recorder().set_export_paths("", "");
+  obs::event_log().set_dump_path(dump_path);
+  obs::event_log().set_export_paths("", "");
   std::unique_ptr<obs::ProgressReporter> reporter;
   if (!fleet.telemetry_path.empty()) {
     telemetry_path =
@@ -224,8 +224,8 @@ void worker_main(const SimulationConfig& config,
     worker.telemetry_path_ = telemetry_path;
     code = worker.run();
   } catch (const std::exception& e) {
-    obs::flight_recorder().write_crash_dump(std::string("fleet.worker: ") +
-                                            e.what());
+    obs::event_log().write_crash_dump(std::string("fleet.worker: ") +
+                                      e.what());
     try {
       write_frame(write_fd, FrameType::kFail, 0, e.what());
     } catch (...) {

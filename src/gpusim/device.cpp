@@ -5,7 +5,7 @@
 
 #include "linalg/diag.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/event_log.h"
 
 namespace dqmc::gpu {
 
@@ -53,7 +53,7 @@ DeviceKinetic Device::alloc_kinetic(const linalg::KineticFactor& op) {
 }
 
 void Device::submit_traced(const char* kernel, std::function<void()> body) {
-  if (obs::Tracer::global().enabled()) {
+  if (obs::event_log().tracing()) {
     stream_.submit([kernel, body = std::move(body)] {
       obs::TraceSpan span(kernel, "gpusim");
       body();
@@ -107,7 +107,7 @@ void Device::account_transfer(double bytes, bool h2d) {
     reg.count(h2d ? "gpusim.bytes_h2d" : "gpusim.bytes_d2h",
               static_cast<std::uint64_t>(bytes));
   }
-  obs::Tracer::global().instant(h2d ? "h2d" : "d2h", "gpusim", "bytes", bytes);
+  obs::event_log().instant(h2d ? "h2d" : "d2h", "gpusim", "bytes", bytes);
 }
 
 void Device::set_matrix(ConstMatrixView host, DeviceMatrix& dev) {

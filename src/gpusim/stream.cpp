@@ -2,9 +2,8 @@
 
 #include "common/error.h"
 #include "fault/failpoint.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/event_log.h"
 #include "parallel/topology.h"
 
 namespace dqmc::gpu {
@@ -35,8 +34,8 @@ void StreamThread::submit(std::function<void()> task) {
     static obs::Gauge* depth_gauge = &obs::metrics().gauge("gpusim.queue_depth");
     depth_gauge->set(static_cast<double>(depth));
   }
-  DQMC_FLIGHT_EVENT(obs::FlightEventKind::kEnqueue, "gpusim.stream", "",
-                    static_cast<double>(depth));
+  DQMC_EVENT(obs::EventKind::kEnqueue, "gpusim.stream", "",
+             static_cast<double>(depth));
   cv_.notify_one();
 }
 
@@ -53,7 +52,7 @@ void StreamThread::wait_idle() {
 }
 
 void StreamThread::run() {
-  obs::Tracer::global().set_current_thread_name("gpusim-stream");
+  obs::event_log().set_current_thread_name("gpusim-stream");
   // The stream thread must never wait on the shared task runtime: a stolen
   // task can block in wait_idle() until THIS thread drains the queue, so a
   // nested parallel region here (threaded GEMM tiles) can close a deadlock

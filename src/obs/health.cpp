@@ -1,7 +1,6 @@
 #include "obs/health.h"
 
-#include "obs/flight_recorder.h"
-#include "obs/trace.h"
+#include "obs/event_log.h"
 
 namespace dqmc::obs {
 
@@ -33,11 +32,9 @@ HealthThresholds HealthMonitor::thresholds() const {
 }
 
 void HealthMonitor::violation(const char* what, double value) {
-  // Called with mutex_ held; the tracer and the flight recorder have their
-  // own synchronization.
+  // Called with mutex_ held; the event log has its own synchronization.
   ++state_.violations;
-  Tracer::global().instant(what, "health", "value", value);
-  DQMC_FLIGHT_EVENT(FlightEventKind::kHealth, what, "violation", value);
+  DQMC_EVENT(EventKind::kHealth, what, "violation", value);
 }
 
 void HealthMonitor::record_wrap_drift(double drift) {

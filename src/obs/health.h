@@ -6,8 +6,9 @@
 //                     drifted from the numerically clean one (the quantity
 //                     behind Fig. 2 of the paper);
 //   * average sign  — the sign-problem severity of the run.
-// Each sample is checked against configurable thresholds; a violation emits
-// an instant event on the global tracer and increments the violation count.
+// Each sample is checked against configurable thresholds; a violation
+// increments the violation count and records one health event in the event
+// log (a trace instant and a crash-dump entry).
 //
 // Disabled by default: the engine skips the O(N^2) drift difference (and
 // everything else here) unless monitoring is on.

@@ -11,7 +11,7 @@
 
 #include "common/stopwatch.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/event_log.h"
 #include "parallel/topology.h"
 
 namespace dqmc::par {
@@ -139,8 +139,8 @@ struct TaskRuntime::Impl {
 
   void worker_loop(int index) {
     t_lane = 1 + index;
-    obs::Tracer::global().set_current_thread_name("task-worker-" +
-                                                  std::to_string(index));
+    obs::event_log().set_current_thread_name("task-worker-" +
+                                             std::to_string(index));
     for (;;) {
       Task task;
       if (try_get(task)) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/trace.h"
+#include <vector>
+
+#include "obs/event_log.h"
 
 namespace dqmc::obs {
 namespace {
@@ -66,23 +68,58 @@ TEST(HealthMonitor, SignWarnsOncePerCrossing) {
 }
 
 TEST(HealthMonitor, ViolationEmitsInstantTraceEvent) {
-  Tracer& tracer = Tracer::global();
-  tracer.reset();
-  tracer.set_enabled(true);
+  EventLog& log = event_log();
+  log.reset();
+  log.set_tracing(true);
 
   HealthMonitor mon;
   mon.set_enabled(true);
   mon.record_wrap_drift(1.0);  // far above any threshold
 
   bool found = false;
-  const Json events = tracer.trace_json().at("traceEvents");
+  const Json events = log.trace_json().at("traceEvents");
   for (std::size_t i = 0; i < events.size(); ++i) {
     if (events[i].at("name").str() == "health.wrap_drift_warn") found = true;
   }
   EXPECT_TRUE(found);
 
-  tracer.set_enabled(false);
-  tracer.reset();
+  log.set_tracing(false);
+  log.reset();
+}
+
+TEST(HealthMonitor, ViolationIsOneRecordInBothRenderings) {
+  EventLog& log = event_log();
+  log.reset();
+  log.set_tracing(true);
+  log.set_armed(true);
+
+  HealthMonitor mon;
+  mon.set_enabled(true);
+  mon.record_wrap_drift(1.0);
+  EXPECT_EQ(log.recorded(), 1u);
+
+  const Json trace = log.trace_json().at("traceEvents");
+  const Json dump = log.crash_dump_json("check").at("events");
+  log.set_tracing(false);
+  log.set_armed(false);
+  log.reset();
+
+  // Skip the thread_name metadata records: one instant is left.
+  std::vector<const Json*> instants;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    if (trace[i].at("ph").str() != "M") instants.push_back(&trace[i]);
+  }
+  ASSERT_EQ(instants.size(), 1u);
+  const Json& instant = *instants[0];
+  EXPECT_EQ(instant.at("name").str(), "health.wrap_drift_warn");
+  EXPECT_EQ(instant.at("cat").str(), "health");
+  EXPECT_EQ(instant.at("ph").str(), "i");
+  EXPECT_DOUBLE_EQ(instant.at("args").at("a").number(), 1.0);
+  ASSERT_EQ(dump.size(), 1u);
+  EXPECT_EQ(dump[0].at("kind").str(), "health");
+  EXPECT_EQ(dump[0].at("site").str(), "health.wrap_drift_warn");
+  EXPECT_EQ(dump[0].at("detail").str(), "violation");
+  EXPECT_EQ(dump[0].at("ts_us").number(), instant.at("ts").number());
 }
 
 TEST(HealthMonitor, JsonSummaryHasStableKeys) {

@@ -10,7 +10,7 @@
 
 #include "dqmc/engine.h"
 #include "dqmc/simulation.h"
-#include "obs/trace.h"
+#include "obs/event_log.h"
 #include "parallel/topology.h"
 
 namespace dqmc::core {
@@ -128,14 +128,14 @@ TEST(PhaseProfile, TraceSpansSumToInclusiveSeconds) {
   // The profiler's bill and the "phase" trace spans come from the same two
   // clock reads per bracket: per phase, the spans' durations sum to the
   // profiler's inclusive seconds.
-  obs::Tracer& tracer = obs::Tracer::global();
-  tracer.reset();
-  tracer.set_enabled(true);
+  obs::EventLog& log = obs::event_log();
+  log.reset();
+  log.set_tracing(true);
   const SimulationResults res = run_simulation(tiny_config());
-  tracer.set_enabled(false);
-  ASSERT_EQ(tracer.dropped(), 0u);
-  const obs::Json events = tracer.trace_json().at("traceEvents");
-  tracer.reset();
+  log.set_tracing(false);
+  ASSERT_EQ(log.dropped(), 0u);
+  const obs::Json events = log.trace_json().at("traceEvents");
+  log.reset();
   for (int p = 0; p < static_cast<int>(Phase::kCount); ++p) {
     const auto phase = static_cast<Phase>(p);
     double span_us = 0.0;

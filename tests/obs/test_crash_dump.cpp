@@ -1,15 +1,17 @@
 // Crash-dump forensics end to end: failpoint-killed supervised runs must
 // leave a parseable crash_dump.json naming the tripped site, the recovery
-// decision the supervisor took, and the active crowd context — the
-// acceptance criterion of ISSUE 6. The dump is written from the
-// supervisor's fault-classification path (push_event), so no process death
-// is needed to exercise it; tests/fault covers the recovery physics, this
-// suite covers the artifact.
+// decision the supervisor took, and the crowd that faulted. The dump is
+// written from the supervisor's fault-classification path, so no process
+// death is needed to exercise it; tests/fault covers the recovery physics,
+// this suite covers the artifact.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -17,7 +19,7 @@
 #include "dqmc/simulation.h"
 #include "dqmc/supervisor.h"
 #include "fault/failpoint.h"
-#include "obs/flight_recorder.h"
+#include "obs/event_log.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
 
@@ -87,8 +89,8 @@ class CrashDumpTest : public ::testing::Test {
     dump_path_ = ::testing::TempDir() + "crash_dump_test_" +
                  std::to_string(::getpid()) + ".json";
     scrub();
-    obs::flight_recorder().set_enabled(true);
-    obs::flight_recorder().set_dump_path(dump_path_);
+    obs::event_log().set_armed(true);
+    obs::event_log().set_dump_path(dump_path_);
   }
   void TearDown() override {
     scrub();
@@ -99,13 +101,12 @@ class CrashDumpTest : public ::testing::Test {
     fault::failpoints().disarm_all();
     obs::health().set_enabled(false);
     obs::health().reset();
-    obs::FlightRecorder& fr = obs::flight_recorder();
-    fr.set_enabled(false);
-    fr.set_dump_path("");
-    fr.set_export_paths("", "");
-    fr.set_context(-1, -1);
-    fr.set_sweep(-1);
-    fr.reset();
+    obs::EventLog& log = obs::event_log();
+    log.set_armed(false);
+    log.set_tracing(false);
+    log.set_dump_path("");
+    log.set_export_paths("", "");
+    log.reset();
     std::remove(dump_path_.c_str());
   }
 
@@ -179,14 +180,14 @@ TEST_F(CrashDumpTest, ExhaustedRetriesRecordDegradeDecision) {
 TEST_F(CrashDumpTest, CheckpointFaultLandsInFlightTail) {
   // Checkpoint I/O faults are absorbed inside take_checkpoint (no
   // classification dump), but the tripped failpoint still lands in the
-  // flight ring, so an operator-rendered dump names it.
+  // event log, so an operator-rendered dump names it.
   fault::failpoints().arm("checkpoint.save", 2);
   const core::SimulationResults r = core::run_supervised_simulation(
       small_config(backend::BackendKind::kHost, 1), test_policy());
   ASSERT_GE(r.fault_report.checkpoint_faults, 1u);
 
   const obs::Json dump =
-      obs::flight_recorder().crash_dump_json("operator-requested");
+      obs::event_log().crash_dump_json("operator-requested");
   EXPECT_NE(find_event(dump, "failpoint", "checkpoint.save"), nullptr);
   // Successful checkpoints around the absorbed fault also leave marks.
   EXPECT_NE(find_event(dump, "checkpoint", "checkpoint.save"), nullptr);
@@ -207,6 +208,97 @@ TEST_F(CrashDumpTest, RecoveredRunStillMatchesUndisturbedTrajectory) {
       core::run_supervised_simulation(cfg, test_policy());
   EXPECT_EQ(faulted.trajectory_hash, quiet.trajectory_hash);
 }
+
+TEST_F(CrashDumpTest, TraceAndDumpShareOneClock) {
+  // A traced and armed run: the failpoint and recovery records appear as
+  // instants in the trace and as events in the dump, stamped with the same
+  // ts_us, inside the interval the run's phase spans cover.
+  obs::EventLog& log = obs::event_log();
+  log.set_tracing(true);
+  fault::failpoints().arm("backend.enqueue", 50);
+  const core::SimulationResults r = core::run_supervised_simulation(
+      small_config(backend::BackendKind::kHost, 1), test_policy());
+  log.set_tracing(false);
+  ASSERT_GE(r.fault_report.faults, 1u);
+  ASSERT_EQ(log.dropped(), 0u);
+
+  const obs::Json trace = log.trace_json().at("traceEvents");
+  const obs::Json dump = log.crash_dump_json("check");
+  double first = std::numeric_limits<double>::infinity();
+  double last = -first;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const obs::Json& e = trace[i];
+    if (e.at("ph").str() == "X" && e.at("cat").str() == "phase") {
+      first = std::min(first, e.at("ts").number());
+      last = std::max(last, e.at("ts").number() + e.at("dur").number());
+    }
+  }
+  for (const std::string kind : {"failpoint", "recovery"}) {
+    const obs::Json* event = find_event(dump, kind, "backend.enqueue");
+    ASSERT_NE(event, nullptr) << kind;
+    const obs::Json* instant = nullptr;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      const obs::Json& e = trace[i];
+      if (e.at("ph").str() == "i" && e.at("cat").str() == kind &&
+          e.at("name").str() == "backend.enqueue") {
+        instant = &e;
+      }
+    }
+    ASSERT_NE(instant, nullptr) << kind << " missing from the trace";
+    EXPECT_EQ(instant->at("ts").number(), event->at("ts_us").number())
+        << kind;
+    EXPECT_GT(event->at("ts_us").number(), first) << kind;
+    EXPECT_LT(event->at("ts_us").number(), last) << kind;
+  }
+}
+
+// Crowds of one run side by side, and each dump must name the crowd that
+// faulted: every recovery and walker.fault event carries the crowd of its
+// chain (chain / walker_batch), and the dump's context names the crowd of
+// the last recovery decision.
+class CrashDumpCrowdTest : public CrashDumpTest,
+                           public ::testing::WithParamInterface<int> {};
+
+TEST_P(CrashDumpCrowdTest, DumpNamesTheFaultingCrowd) {
+  const idx walker_batch = 1;
+  core::SimulationConfig cfg =
+      small_config(backend::BackendKind::kHost, walker_batch);
+  cfg.lx = cfg.ly = 4;
+  cfg.model.beta = 4.0;
+  cfg.model.slices = 32;
+  cfg.measurement_sweeps = 12;
+  fault::failpoints().arm("backend.enqueue",
+                          static_cast<std::uint64_t>(GetParam()));
+  const core::SimulationResults r =
+      core::run_supervised_parallel(cfg, test_policy(), 4);
+  ASSERT_GE(r.fault_report.faults, 1u);
+
+  const obs::Json dump = read_dump();
+  const obs::Json& events = dump.at("events");
+  const obs::Json* last_recovery = nullptr;
+  int attributed = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const obs::Json& e = events[i];
+    const bool recovery = e.at("kind").str() == "recovery";
+    if (!recovery && e.at("site").str() != "walker.fault") continue;
+    ASSERT_TRUE(e.has("crowd")) << e.dump();
+    if (e.has("walker")) {
+      EXPECT_EQ(e.at("crowd").number(),
+                std::floor(e.at("walker").number() /
+                           static_cast<double>(walker_batch)))
+          << e.dump();
+      ++attributed;
+    }
+    if (recovery) last_recovery = &e;
+  }
+  ASSERT_NE(last_recovery, nullptr);
+  EXPECT_GE(attributed, 1);
+  EXPECT_EQ(dump.at("context").at("crowd").number(),
+            last_recovery->at("crowd").number());
+}
+
+INSTANTIATE_TEST_SUITE_P(HitCounts, CrashDumpCrowdTest,
+                         ::testing::Values(150, 300, 450, 600, 750));
 
 }  // namespace
 }  // namespace dqmc
