@@ -58,8 +58,10 @@
 //                            empty disables)
 //   --worker-failpoint SPEC  fleet drill: arm SPEC inside worker processes
 //   --failpoint-worker I     ...only in worker I (-1 = all)
-// In a fleet run the --telemetry-jsonl and --crash-dump paths are also the
-// workers' base paths: each writes <base>.w<index>.p<pid>(.json|.jsonl).
+// A fleet run reads as one run: one telemetry stream, and metrics, health
+// and phases merged from every chain. Only crash dumps stay per worker:
+// each worker dumps to <base>.w<index>.p<pid>.json for the --crash-dump
+// <base>.json, named in the manifest's fleet worker_table.
 #include <cinttypes>
 #include <cstdio>
 
@@ -130,8 +132,6 @@ Invocation parse(int argc, char** argv) {
     inv.fc.worker_failpoints = args.get("worker-failpoint", "");
     inv.fc.failpoint_worker =
         static_cast<int>(args.get_long("failpoint-worker", -1));
-    inv.fc.telemetry_path = inv.telemetry_path;
-    inv.fc.crash_dump_path = inv.dump_path;
     DQMC_CHECK_INPUT(inv.trace_path.empty(),
                      "--trace-json is not supported in fleet runs: workers "
                      "export no trace");
@@ -296,7 +296,7 @@ int main(int argc, char** argv) {
               format_seconds(bs.exposed_wait_seconds).c_str(),
               static_cast<unsigned long long>(res.wrap_uploads_skipped));
 
-  // A signal with no samples (a fleet coordinator runs no chain) reads n/a.
+  // A signal with no samples reads n/a.
   const obs::HealthMonitor::Summary hs = obs::health().summary();
   const auto sampled = [](std::uint64_t count, const char* fmt, double v) {
     char text[32] = "n/a";
@@ -330,11 +330,9 @@ int main(int argc, char** argv) {
                 f.reassignments, f.protocol_faults);
     for (const fleet::WorkerSummary& w : f.worker_summaries) {
       std::printf("  worker %d (pid %ld): %" PRIu64 " shards, %" PRIu64
-                  " frames, %s%s%s\n",
+                  " frames, %s\n",
                   w.index, w.pid, w.shards_completed, w.frames_received,
-                  w.fate.c_str(),
-                  w.telemetry_path.empty() ? "" : ", telemetry ",
-                  w.telemetry_path.c_str());
+                  w.fate.c_str());
     }
     events.insert(events.end(), f.events.begin(), f.events.end());
   }

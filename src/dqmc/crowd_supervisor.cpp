@@ -187,6 +187,9 @@ CrowdSupervisor::CrowdSupervisor(
     partials_[index(w)] = std::make_unique<SimulationResults>(chain_cfg);
   }
   scratch_stats_.resize(static_cast<std::size_t>(walkers_));
+  // The health gate trips on violations this crowd adds, not on those the
+  // monitor already holds (a resumed fleet chain reloads its own).
+  health_baseline_ = obs::health().violations();
 }
 
 void CrowdSupervisor::set_resume(std::vector<std::string> checkpoints,

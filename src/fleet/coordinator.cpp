@@ -18,6 +18,7 @@
 #include "fleet/serial.h"
 #include "fleet/wire.h"
 #include "fleet/worker.h"
+#include "obs/event_log.h"
 #include "obs/metrics.h"
 
 namespace dqmc::fleet {
@@ -42,7 +43,6 @@ obs::Json FleetReport::json_value() const {
                        .set("frames_received", w.frames_received)
                        .set("fate", w.fate);
     if (!w.crash_dump_path.empty()) jw.set("crash_dump", w.crash_dump_path);
-    if (!w.telemetry_path.empty()) jw.set("telemetry", w.telemetry_path);
     ws.push_back(std::move(jw));
   }
   return obs::Json::object()
@@ -63,7 +63,8 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 struct ShardRecord {
-  ShardState state;  ///< latest resume point (fresh: no checkpoints)
+  ShardState state;  ///< latest resume point (fresh: no checkpoints); the
+                     ///< result once completed
   int owner = -1;    ///< worker index, -1 when unassigned
   int reassigns = 0;
   bool completed = false;
@@ -134,6 +135,12 @@ class Coordinator {
     FleetResult out(core::merge_chains(config_, chain_partials_));
     for (const auto& partial : chain_partials_) {
       out.chain_hashes.push_back(partial->trajectory_hash);
+    }
+    // Each chain ran as a crowd of one, whatever walker_batch says.
+    out.results.batch_walkers = 1;
+    out.results.batch_crowds = chains_;
+    for (const ShardRecord& shard : shards_) {
+      merge_observability(shard.state.observability);
     }
     out.results.elapsed_seconds = watch.seconds();
     out.fleet = report_;
@@ -293,12 +300,12 @@ class Coordinator {
         (void)hx::get_u64(in);  // worker index, already known positionally
         w.summary.pid = static_cast<long>(hx::get_u64(in));
         w.helloed = true;
-        return;
-      }
-      case FrameType::kTelemetry: {
-        std::istringstream in(frame.payload);
-        w.summary.crash_dump_path = hx::get_block(in);
-        w.summary.telemetry_path = hx::get_block(in);
+        // The worker derived its dump path from the same base at the fork.
+        const std::string base = obs::event_log().dump_path();
+        if (!base.empty()) {
+          w.summary.crash_dump_path = worker_unique_path(base, wi,
+                                                         w.summary.pid);
+        }
         return;
       }
       case FrameType::kProgress: {
@@ -323,10 +330,11 @@ class Coordinator {
       case FrameType::kResult: {
         ShardRecord& shard = shard_for(frame.shard);
         DQMC_CHECK_MSG(!shard.completed, "fleet: chain completed twice");
+        ShardState result = decode_shard_state(frame.payload);
         auto& slot = chain_partials_[frame.shard];
         slot = make_chain_partial(config_, shard.state.chain);
-        deserialize_chain_partial(decode_shard_state(frame.payload).partial,
-                                  *slot);
+        deserialize_chain_partial(result.partial, *slot);
+        shard.state = std::move(result);
         shard.completed = true;
         shard.owner = -1;
         shard.progress_done = total_sweeps_;
@@ -411,7 +419,6 @@ class Coordinator {
     report_.events.push_back(fault::FaultEvent{
         site, fault::fault_class_name(fault::FaultClass::kIoError), "dispose",
         0, 1, 0.0, detail});
-    obs::metrics().count("fleet.protocol_faults");
     // A peer speaking garbage is not recoverable in place: kill it and let
     // the standard death path reassign its shard.
     ::kill(static_cast<pid_t>(w.pid), SIGKILL);

@@ -45,8 +45,8 @@ struct WorkerSummary {
   /// "completed" | "killed (signal N)" | "exit (code N)" | "wedged" |
   /// "protocol-fault".
   std::string fate;
-  std::string crash_dump_path;  ///< worker-unique forensic artifacts
-  std::string telemetry_path;
+  /// The worker's unique crash-dump path (empty when dumps are off).
+  std::string crash_dump_path;
 };
 
 /// What the fleet did, beyond the physics: lands in the manifest's "fleet"
@@ -89,6 +89,9 @@ struct FleetResult {
 /// any walker_batch, and across worker deaths.
 /// `progress` is invoked in the coordinator process from the workers'
 /// boundary progress frames (so in segment-sized bursts, not per sweep).
+/// Before it returns, each chain's metrics and health, as its worker
+/// observed them, fold into this process's registry and monitor in chain
+/// order; a fleet result reports each chain as a crowd of one.
 FleetResult run_fleet(const SimulationConfig& config,
                       const SupervisorPolicy& policy, const FleetConfig& fleet,
                       idx chains, const ProgressFn& progress = nullptr);

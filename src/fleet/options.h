@@ -1,6 +1,5 @@
 // Fleet runtime knobs shared by the coordinator (fork, dealing and
-// reassignment policy) and the worker children (fail-point arming,
-// forensic artifact paths).
+// reassignment policy) and the worker children (fail-point arming).
 #pragma once
 
 #include <string>
@@ -30,11 +29,6 @@ struct FleetConfig {
   std::string worker_failpoints;
   /// Which worker index arms worker_failpoints (-1 = all workers).
   int failpoint_worker = -1;
-  /// Crash-dump base path; each worker appends ".w<index>.p<pid>.json" so
-  /// parallel workers never clobber each other's forensic artifacts.
-  std::string crash_dump_path;
-  /// Telemetry JSONL base path; per-worker suffix as above.
-  std::string telemetry_path;
 
   /// Throws InvalidArgument naming the config key of the bad field.
   void validate() const {

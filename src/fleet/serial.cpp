@@ -4,6 +4,8 @@
 
 #include "common/error.h"
 #include "common/hexio.h"
+#include "obs/health.h"
+#include "obs/metrics.h"
 
 namespace dqmc::fleet {
 
@@ -73,6 +75,7 @@ std::string encode_shard_state(const ShardState& state) {
   hx::put_u64(out, static_cast<std::uint64_t>(state.done));
   hx::put_block(out, state.checkpoint);
   hx::put_block(out, state.partial);
+  hx::put_block(out, state.observability);
   return out.str();
 }
 
@@ -84,7 +87,25 @@ ShardState decode_shard_state(const std::string& payload) {
   state.done = static_cast<idx>(hx::get_u64(in));
   state.checkpoint = hx::get_block(in);
   state.partial = hx::get_block(in);
+  state.observability = hx::get_block(in);
   return state;
+}
+
+std::string save_observability() {
+  if (!obs::metrics().enabled() && !obs::health().enabled()) return "";
+  std::ostringstream out;
+  out << "observability\n";
+  obs::metrics().save(out);
+  obs::health().save(out);
+  return out.str();
+}
+
+void merge_observability(const std::string& block) {
+  if (block.empty()) return;
+  std::istringstream in(block);
+  hx::expect(in, "observability");
+  obs::metrics().merge(in);
+  obs::health().merge(in);
 }
 
 std::unique_ptr<SimulationResults> make_chain_partial(

@@ -7,10 +7,11 @@
 //     fault report, trajectory hash), bit-exact via hexio so the coordinator's
 //     merge_chains — the single-process merge — folds it to the last bit;
 //   * a ShardState — one chain's resume point: its checkpoint at a
-//     segment boundary plus the partial committed before it. The same shape
-//     serves assignment (fresh: no checkpoint, no partial), snapshot
-//     (periodic resume insurance) and result (done == total, no
-//     checkpoint) — one codec, three frame types.
+//     segment boundary plus the partial committed before it and the
+//     worker's metrics and health up to it (the observability block). The
+//     same shape serves assignment (fresh: no checkpoint, no partial, no
+//     block), snapshot (periodic resume insurance) and result (done ==
+//     total, no checkpoint) — one codec, three frame types.
 // Both sides already share the SimulationConfig by fork inheritance, so
 // payloads carry only per-chain state, never the run configuration.
 #pragma once
@@ -41,12 +42,23 @@ struct ShardState {
   std::string checkpoint;
   /// Serialized partial (empty on a fresh assignment).
   std::string partial;
+  /// save_observability() of the worker that ran the chain this far
+  /// (empty on a fresh assignment, or when nothing is observed).
+  std::string observability;
 };
 
 std::string encode_shard_state(const ShardState& state);
 /// Throws dqmc::Error (or FleetProtocolError via hexio) on malformed input;
 /// never trusts counts without bounds checks.
 ShardState decode_shard_state(const std::string& payload);
+
+/// This process's metrics registry and health monitor as one block (hexio),
+/// empty when both are disabled.
+std::string save_observability();
+/// Fold a save_observability() block into this process's registry and
+/// monitor (MetricsRegistry::merge, HealthMonitor::merge); an empty block
+/// changes nothing.
+void merge_observability(const std::string& block);
 
 /// Construct the partials slot for global chain `chain` the way every
 /// runner (single-process and fleet alike) seeds it: config.seed + chain.

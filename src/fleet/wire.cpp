@@ -33,7 +33,6 @@ bool valid_type(std::uint16_t t) {
     case FrameType::kProgress:
     case FrameType::kShutdown:
     case FrameType::kFail:
-    case FrameType::kTelemetry:
       return true;
   }
   return false;
@@ -50,7 +49,6 @@ const char* frame_type_name(FrameType t) {
     case FrameType::kProgress: return "progress";
     case FrameType::kShutdown: return "shutdown";
     case FrameType::kFail: return "fail";
-    case FrameType::kTelemetry: return "telemetry";
   }
   return "unknown";
 }

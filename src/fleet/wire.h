@@ -35,7 +35,7 @@ enum class FrameType : std::uint16_t {
   kProgress = 7,  ///< worker -> coordinator: sweeps committed so far
   kShutdown = 8,  ///< coordinator -> worker: exit cleanly
   kFail = 9,      ///< worker -> coordinator: shard failed terminally
-  kTelemetry = 10 ///< worker -> coordinator: forensic artifact line
+  // 10 is retired (it announced worker artifact paths): invalid too.
 };
 
 const char* frame_type_name(FrameType t);

@@ -12,7 +12,8 @@
 #include "fleet/serial.h"
 #include "fleet/wire.h"
 #include "obs/event_log.h"
-#include "obs/progress.h"
+#include "obs/health.h"
+#include "obs/metrics.h"
 #include "parallel/topology.h"
 
 namespace dqmc::fleet {
@@ -40,16 +41,13 @@ namespace {
 class Worker {
  public:
   Worker(const SimulationConfig& config, const SupervisorPolicy& policy,
-         const FleetConfig& fleet, int index, int read_fd, int write_fd,
-         obs::ProgressReporter* reporter)
+         int index, int read_fd, int write_fd)
       : config_(config),
         policy_(policy),
-        fleet_(fleet),
         index_(index),
         read_fd_(read_fd),
-        write_fd_(write_fd),
-        reporter_(reporter) {
-    progress_ = [this](core::idx, core::idx, bool warmup) {
+        write_fd_(write_fd) {
+    progress_ = [](core::idx, core::idx, bool) {
       // Deterministic kill/wedge probes for the determinism suite: the
       // progress stream ticks once per sweep of this worker's chains, so an
       // armed "fleet.worker.kill:N" dies at the same point of the
@@ -58,7 +56,6 @@ class Worker {
       if (DQMC_FAILPOINT_FIRE("fleet.worker.wedge")) {
         for (;;) ::pause();
       }
-      if (reporter_) reporter_->on_sweep(warmup);
     };
   }
 
@@ -68,14 +65,6 @@ class Worker {
       hx::put_u64(hello, static_cast<std::uint64_t>(index_));
       hx::put_u64(hello, static_cast<std::uint64_t>(::getpid()));
       write_frame(write_fd_, FrameType::kHello, 0, hello.str());
-    }
-    if (!fleet_.crash_dump_path.empty() || !fleet_.telemetry_path.empty()) {
-      // Artifact fan-in: tell the coordinator where this worker's unique
-      // forensic files live so the fleet report can collect them.
-      std::ostringstream art;
-      hx::put_block(art, dump_path_);
-      hx::put_block(art, telemetry_path_);
-      write_frame(write_fd_, FrameType::kTelemetry, 0, art.str());
     }
     for (;;) {
       for (;;) {
@@ -87,9 +76,6 @@ class Worker {
       if (!read_into(read_fd_, decoder_)) return 1;  // coordinator died
     }
   }
-
-  std::string dump_path_;
-  std::string telemetry_path_;
 
  private:
   /// Returns -1 to continue, >= 0 to exit with that code.
@@ -106,10 +92,16 @@ class Worker {
   }
 
   /// Run one chain to completion through a crowd of one, from scratch or
-  /// from the snapshot the assignment carries.
+  /// from the snapshot the assignment carries. The registry and monitor
+  /// hold this chain's observations alone: the values and samples left
+  /// from earlier chains (or the fork) are zeroed, then the assignment's
+  /// block restores what the chain observed before its snapshot.
   void run_shard(std::uint32_t shard_id, const ShardState& assignment) {
     shard_id_ = shard_id;
     chain_ = assignment.chain;
+    obs::metrics().reset();
+    obs::health().reset();
+    merge_observability(assignment.observability);
     sup_ = std::make_unique<CrowdSupervisor>(config_, policy_, chain_, 1,
                                              progress_, partials_, 0);
     if (!assignment.checkpoint.empty()) {
@@ -129,17 +121,19 @@ class Worker {
     }
     write_frame(write_fd_, FrameType::kResult, shard_id_,
                 encode_shard_state({chain_, sup_->done(), "",
-                                    serialize_chain_partial(*partials_[0])}));
+                                    serialize_chain_partial(*partials_[0]),
+                                    save_observability()}));
     sup_.reset();
   }
 
   /// Report progress and, when the recovery checkpoint is current, ship it
-  /// as the chain's resume snapshot, with the committed partial and the
-  /// phase profile up to this boundary: the partial's own (what a handoff
-  /// brought) plus the engine's, which the partial only takes at the end of
-  /// the run. Nothing else reaches a busy worker: a write that fails means
-  /// the coordinator is gone, so the worker exits here instead of replaying
-  /// the segment through the recovery ladder.
+  /// as the chain's resume snapshot, with the committed partial, the
+  /// observability block and the phase profile up to this boundary: the
+  /// partial's own (what a handoff brought) plus the engine's, which the
+  /// partial only takes at the end of the run. Nothing else reaches a busy
+  /// worker: a write that fails means the coordinator is gone, so the
+  /// worker exits here instead of replaying the segment through the
+  /// recovery ladder.
   void on_boundary(const core::CrowdBoundary& b) {
     try {
       std::ostringstream p;
@@ -149,7 +143,8 @@ class Worker {
         core::SimulationResults partial = *partials_[0];
         partial.profiler.merge(sup_->engine_profile(0));
         const ShardState snapshot{chain_, b.done, sup_->checkpoints().front(),
-                                  serialize_chain_partial(partial)};
+                                  serialize_chain_partial(partial),
+                                  save_observability()};
         write_frame(write_fd_, FrameType::kSnapshot, shard_id_,
                     encode_shard_state(snapshot));
       }
@@ -160,11 +155,9 @@ class Worker {
 
   const SimulationConfig& config_;
   const SupervisorPolicy& policy_;
-  const FleetConfig& fleet_;
   int index_;
   int read_fd_;
   int write_fd_;
-  obs::ProgressReporter* reporter_;
   ProgressFn progress_;
   FrameDecoder decoder_;
   std::uint32_t shard_id_ = 0;
@@ -192,36 +185,22 @@ void worker_main(const SimulationConfig& config,
     fault::failpoints().arm_spec(fleet.worker_failpoints);
   }
 
-  // The event log's artifact paths crossed the fork too: a worker
-  // never writes the coordinator's dump, trace or manifest, only its own
-  // per-worker dump.
-  const long pid = static_cast<long>(::getpid());
-  std::string dump_path, telemetry_path;
-  if (!fleet.crash_dump_path.empty()) {
-    dump_path = worker_unique_path(fleet.crash_dump_path, worker_index, pid);
+  // The event log's artifact paths crossed the fork too: a worker never
+  // writes the coordinator's dump, trace or manifest. When the coordinator
+  // has a dump path, the worker dumps to its own worker-unique copy of it
+  // (the coordinator names the same path in its worker table).
+  std::string dump_path = obs::event_log().dump_path();
+  if (!dump_path.empty()) {
+    dump_path = worker_unique_path(dump_path, worker_index,
+                                   static_cast<long>(::getpid()));
     obs::event_log().set_armed(true);
   }
   obs::event_log().set_dump_path(dump_path);
   obs::event_log().set_export_paths("", "");
-  std::unique_ptr<obs::ProgressReporter> reporter;
-  if (!fleet.telemetry_path.empty()) {
-    telemetry_path =
-        worker_unique_path(fleet.telemetry_path, worker_index, pid);
-    obs::ProgressOptions opt;
-    opt.jsonl_path = telemetry_path;
-    opt.label = "fleet-w" + std::to_string(worker_index);
-    opt.warmup_sweeps = static_cast<std::uint64_t>(config.warmup_sweeps);
-    opt.total_sweeps = static_cast<std::uint64_t>(config.warmup_sweeps +
-                                                  config.measurement_sweeps);
-    reporter = std::make_unique<obs::ProgressReporter>(opt);
-  }
 
   int code = 2;
   try {
-    Worker worker(config, policy, fleet, worker_index, read_fd, write_fd,
-                  reporter.get());
-    worker.dump_path_ = dump_path;
-    worker.telemetry_path_ = telemetry_path;
+    Worker worker(config, policy, worker_index, read_fd, write_fd);
     code = worker.run();
   } catch (const std::exception& e) {
     obs::event_log().write_crash_dump(std::string("fleet.worker: ") +
@@ -232,8 +211,6 @@ void worker_main(const SimulationConfig& config,
     }
     code = 2;
   }
-  if (reporter) reporter->finish();
-  reporter.reset();
   // _exit: never run the parent's atexit handlers / static destructors in
   // the child (they belong to the coordinator process).
   ::_exit(code);

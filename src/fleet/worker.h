@@ -21,16 +21,16 @@ using core::SupervisorPolicy;
 /// parent's atexit/static-destructor state is never run twice). `read_fd` /
 /// `write_fd` are the coordinator pipes. Must be called immediately after
 /// fork(): it serializes the task runtime for the single surviving thread,
-/// re-arms fail points from fleet.worker_failpoints, and redirects crash
-/// dumps and telemetry to worker-unique paths before touching any physics.
+/// re-arms fail points from fleet.worker_failpoints, and redirects its crash
+/// dump to a worker-unique path before touching any physics.
 [[noreturn]] void worker_main(const SimulationConfig& config,
                               const SupervisorPolicy& policy,
                               const FleetConfig& fleet, int worker_index,
                               int read_fd, int write_fd);
 
 /// The worker-unique forensic path for `base`: inserts ".w<index>.p<pid>"
-/// before a trailing ".json"/".jsonl" extension (appends otherwise).
-/// Exposed for the path-uniqueness tests.
+/// before a trailing ".json"/".jsonl" extension (appends otherwise). The
+/// worker dumps there; the coordinator names it in its worker table.
 std::string worker_unique_path(const std::string& base, int worker_index,
                                long pid);
 

@@ -1,8 +1,15 @@
 #include "obs/health.h"
 
+#include <algorithm>
+#include <istream>
+#include <ostream>
+
+#include "common/hexio.h"
 #include "obs/event_log.h"
 
 namespace dqmc::obs {
+
+namespace hx = dqmc::hexio;
 
 Json RunningStat::json_value() const {
   Json j = Json::object();
@@ -94,6 +101,38 @@ void HealthMonitor::reset() {
   std::lock_guard lock(mutex_);
   state_ = Summary{};
   sign_warned_ = false;
+}
+
+void HealthMonitor::save(std::ostream& out) const {
+  std::lock_guard lock(mutex_);
+  hx::put_u64(out, state_.wrap_drift.count);
+  hx::put_double(out, state_.wrap_drift.sum);
+  hx::put_double(out, state_.wrap_drift.min);
+  hx::put_double(out, state_.wrap_drift.max);
+  hx::put_u64(out, state_.sign_samples);
+  hx::put_double(out, state_.sign_sum);
+  hx::put_u64(out, state_.violations);
+}
+
+void HealthMonitor::merge(std::istream& in) {
+  Summary saved;
+  saved.wrap_drift.count = hx::get_u64(in);
+  saved.wrap_drift.sum = hx::get_double(in);
+  saved.wrap_drift.min = hx::get_double(in);
+  saved.wrap_drift.max = hx::get_double(in);
+  saved.sign_samples = hx::get_u64(in);
+  saved.sign_sum = hx::get_double(in);
+  saved.violations = hx::get_u64(in);
+
+  std::lock_guard lock(mutex_);
+  RunningStat& drift = state_.wrap_drift;
+  drift.count += saved.wrap_drift.count;
+  drift.sum += saved.wrap_drift.sum;
+  drift.min = std::min(drift.min, saved.wrap_drift.min);
+  drift.max = std::max(drift.max, saved.wrap_drift.max);
+  state_.sign_samples += saved.sign_samples;
+  state_.sign_sum += saved.sign_sum;
+  state_.violations += saved.violations;
 }
 
 }  // namespace dqmc::obs

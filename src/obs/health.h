@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iosfwd>
 #include <limits>
 #include <mutex>
 
@@ -94,6 +95,12 @@ class HealthMonitor {
 
   /// Drop all samples and violation counts; thresholds and enablement kept.
   void reset();
+
+  /// The samples and violation count, bit-exact (hexio).
+  void save(std::ostream& out) const;
+  /// Fold saved samples in: drift stats, sign sums and violations add.
+  /// Thresholds and enablement are kept, and no event is logged.
+  void merge(std::istream& in);
 
  private:
   void violation(const char* what, double value);

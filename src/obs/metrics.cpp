@@ -3,8 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <istream>
+#include <ostream>
+
+#include "common/hexio.h"
 
 namespace dqmc::obs {
+
+namespace hx = dqmc::hexio;
 
 namespace {
 
@@ -27,6 +33,10 @@ void Histogram::observe(double v) {
   if (v < min_) min_ = v;
   if (v > max_) max_ = v;
   ++buckets_[bucket_index(v)];
+  push_window_locked(v);
+}
+
+void Histogram::push_window_locked(double v) {
   if (window_.size() < kQuantileWindow) {
     window_.push_back(v);
   } else {
@@ -117,6 +127,41 @@ void Histogram::reset() {
   for (auto& b : buckets_) b = 0;
   window_.clear();
   window_next_ = 0;
+}
+
+void Histogram::save(std::ostream& out) const {
+  std::lock_guard lock(mutex_);
+  hx::put_u64(out, count_);
+  hx::put_double(out, sum_);
+  hx::put_double(out, min_);
+  hx::put_double(out, max_);
+  for (std::uint64_t b : buckets_) hx::put_u64(out, b);
+  hx::put_u64(out, window_.size());
+  for (std::size_t i = 0; i < window_.size(); ++i) {
+    hx::put_double(out, window_[(window_next_ + i) % window_.size()]);
+  }
+}
+
+void Histogram::merge(std::istream& in) {
+  const std::uint64_t count = hx::get_u64(in);
+  const double sum = hx::get_double(in);
+  const double min = hx::get_double(in);
+  const double max = hx::get_double(in);
+  std::uint64_t buckets[kBuckets];
+  for (std::uint64_t& b : buckets) b = hx::get_u64(in);
+  const std::uint64_t samples = hx::get_u64(in);
+  DQMC_CHECK_MSG(samples <= kQuantileWindow,
+                 "histogram block holds more samples than its window");
+  std::vector<double> window(static_cast<std::size_t>(samples));
+  for (double& v : window) v = hx::get_double(in);
+
+  std::lock_guard lock(mutex_);
+  count_ += count;
+  sum_ += sum;
+  min_ = std::min(min_, min);
+  max_ = std::max(max_, max);
+  for (int i = 0; i < kBuckets; ++i) buckets_[i] += buckets[i];
+  for (double v : window) push_window_locked(v);
 }
 
 MetricsRegistry& MetricsRegistry::global() {
@@ -216,6 +261,42 @@ void MetricsRegistry::reset() {
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
   for (auto& [name, h] : histograms_) h->reset();
+}
+
+void MetricsRegistry::save(std::ostream& out) const {
+  std::lock_guard lock(mutex_);
+  hx::put_u64(out, counters_.size());
+  for (const auto& [name, c] : counters_) {
+    hx::put_block(out, name);
+    hx::put_u64(out, c->value());
+  }
+  hx::put_u64(out, gauges_.size());
+  for (const auto& [name, g] : gauges_) {
+    hx::put_block(out, name);
+    hx::put_double(out, g->value());
+  }
+  hx::put_u64(out, histograms_.size());
+  for (const auto& [name, h] : histograms_) {
+    hx::put_block(out, name);
+    h->save(out);
+  }
+}
+
+void MetricsRegistry::merge(std::istream& in) {
+  // Find-or-create takes mutex_ itself, so the fold runs unlocked: each
+  // metric is thread-safe on its own.
+  for (std::uint64_t n = hx::get_u64(in); n > 0; --n) {
+    const std::string name = hx::get_block(in);
+    counter(name).add(hx::get_u64(in));
+  }
+  for (std::uint64_t n = hx::get_u64(in); n > 0; --n) {
+    const std::string name = hx::get_block(in);
+    gauge(name).set(hx::get_double(in));
+  }
+  for (std::uint64_t n = hx::get_u64(in); n > 0; --n) {
+    const std::string name = hx::get_block(in);
+    histogram(name).merge(in);
+  }
 }
 
 }  // namespace dqmc::obs

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iosfwd>
 #include <limits>
 #include <map>
 #include <memory>
@@ -76,8 +77,16 @@ class Histogram {
   Json json_value() const;
   void reset();
 
+  /// Bit-exact state (hexio), the quantile window oldest first.
+  void save(std::ostream& out) const;
+  /// Fold a saved histogram in: counts, sums, extremes and buckets add, and
+  /// its window samples follow this one's, so the newest kQuantileWindow
+  /// samples of the two streams stay.
+  void merge(std::istream& in);
+
  private:
   double quantile_locked(double q) const;  ///< caller holds mutex_
+  void push_window_locked(double v);       ///< caller holds mutex_
 
   mutable std::mutex mutex_;
   std::uint64_t count_ = 0;
@@ -137,6 +146,13 @@ class MetricsRegistry {
 
   /// Zero every metric; registrations are kept.
   void reset();
+
+  /// Every registered metric, bit-exact (hexio).
+  void save(std::ostream& out) const;
+  /// Fold a saved registry in, registering its names as needed: counters
+  /// add, a gauge takes the saved value, histograms merge. Applies whether
+  /// or not the registry is enabled.
+  void merge(std::istream& in);
 
  private:
   std::atomic<bool> enabled_{false};

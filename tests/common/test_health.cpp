@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <vector>
 
 #include "obs/event_log.h"
@@ -152,6 +153,39 @@ TEST(HealthMonitor, ResetKeepsThresholdsAndEnablement) {
   EXPECT_DOUBLE_EQ(mon.thresholds().max_wrap_drift, 123.0);
   EXPECT_EQ(mon.violations(), 0u);
   EXPECT_EQ(mon.summary().wrap_drift.count, 0u);
+}
+
+TEST(HealthMonitor, MergeAddsSamplesAndViolations) {
+  HealthMonitor a, b;
+  a.set_enabled(true);
+  b.set_enabled(true);
+  HealthThresholds t;
+  t.max_wrap_drift = 1e-6;
+  a.set_thresholds(t);
+  a.record_wrap_drift(1e-9);
+  a.record_wrap_drift(1e-3);  // one violation
+  a.record_sign(+1);
+  b.record_wrap_drift(1e-8);
+  b.record_sign(-1);
+  b.record_sign(+1);
+
+  HealthMonitor merged;  // disabled, default thresholds: both are kept
+  for (const HealthMonitor* m : {&a, &b}) {
+    std::stringstream block;
+    m->save(block);
+    merged.merge(block);
+  }
+  const HealthMonitor::Summary s = merged.summary();
+  EXPECT_FALSE(merged.enabled());
+  EXPECT_EQ(s.wrap_drift.count, 3u);
+  EXPECT_DOUBLE_EQ(s.wrap_drift.sum, 1e-9 + 1e-3 + 1e-8);
+  EXPECT_DOUBLE_EQ(s.wrap_drift.min, 1e-9);
+  EXPECT_DOUBLE_EQ(s.wrap_drift.max, 1e-3);
+  EXPECT_EQ(s.sign_samples, 3u);
+  EXPECT_DOUBLE_EQ(s.sign_sum, 1.0);
+  EXPECT_EQ(s.violations, 1u);
+  EXPECT_DOUBLE_EQ(merged.thresholds().max_wrap_drift,
+                   HealthThresholds{}.max_wrap_drift);
 }
 
 }  // namespace

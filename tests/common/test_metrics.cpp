@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <sstream>
 
 namespace dqmc::obs {
 namespace {
@@ -190,6 +191,83 @@ TEST(MetricsRegistry, ReportListsEveryMetric) {
   EXPECT_NE(r.find("my.counter"), std::string::npos);
   EXPECT_NE(r.find("my.gauge"), std::string::npos);
   EXPECT_NE(r.find("my.histogram"), std::string::npos);
+}
+
+/// `from` saved and merged into `into`, as a fleet folds a chain's block.
+void fold(const MetricsRegistry& from, MetricsRegistry& into) {
+  std::stringstream block;
+  from.save(block);
+  into.merge(block);
+}
+
+TEST(MetricsRegistry, MergeFoldsEachKindByItsRule) {
+  MetricsRegistry a, b, merged;
+  a.set_enabled(true);
+  b.set_enabled(true);
+  a.count("sweeps", 3);
+  a.set("rate", 0.25);
+  a.observe("gflops", 2.0);
+  a.observe("gflops", -4.0);
+  b.count("sweeps", 5);
+  b.count("only_b", 1);
+  b.set("rate", 0.75);
+  b.observe("gflops", 8.0);
+
+  fold(a, merged);  // merge works on a disabled registry too
+  fold(b, merged);
+  EXPECT_EQ(merged.find_counter("sweeps")->value(), 8u);  // counters add
+  EXPECT_EQ(merged.find_counter("only_b")->value(), 1u);
+  EXPECT_DOUBLE_EQ(merged.find_gauge("rate")->value(), 0.75);  // last wins
+  const Histogram& h = *merged.find_histogram("gflops");
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_DOUBLE_EQ(h.sum(), 6.0);
+  EXPECT_DOUBLE_EQ(h.min(), -4.0);
+  EXPECT_DOUBLE_EQ(h.max(), 8.0);
+  // Buckets add too: the merged JSON equals one histogram fed all samples.
+  Histogram direct;
+  for (double v : {2.0, -4.0, 8.0}) direct.observe(v);
+  EXPECT_EQ(h.json_value().dump(), direct.json_value().dump());
+}
+
+TEST(MetricsRegistry, MergedWindowKeepsTheNewestSamplesInOrder) {
+  // Two chains of a full window each: the merged window is the second
+  // chain's, so the quantiles are its alone, while count spans both.
+  MetricsRegistry first, second, merged;
+  for (std::size_t i = 0; i < Histogram::kQuantileWindow + 10; ++i) {
+    first.histogram("h").observe(1000.0 + static_cast<double>(i));
+  }
+  for (std::size_t i = 0; i < Histogram::kQuantileWindow; ++i) {
+    second.histogram("h").observe(1.0);
+  }
+  fold(first, merged);
+  fold(second, merged);
+  const Histogram& h = *merged.find_histogram("h");
+  EXPECT_EQ(h.count(), 2 * Histogram::kQuantileWindow + 10);
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 1.0);
+
+  // A short second chain keeps the first chain's newest samples: the
+  // window's oldest survivor is the first chain's sample at the right rank.
+  MetricsRegistry tail, merged_tail;
+  tail.histogram("h").observe(1.0);
+  fold(first, merged_tail);
+  fold(tail, merged_tail);
+  const Histogram& t = *merged_tail.find_histogram("h");
+  EXPECT_DOUBLE_EQ(t.quantile(0.0), 1.0);
+  // Window: first chain's samples 11 .. 265 (the newest 255), then 1.0.
+  EXPECT_DOUBLE_EQ(t.quantile(1.0 / static_cast<double>(
+                                  Histogram::kQuantileWindow)),
+                   1011.0);
+  EXPECT_DOUBLE_EQ(t.quantile(1.0), 1000.0 + Histogram::kQuantileWindow + 9);
+}
+
+TEST(MetricsRegistry, SaveMergeIntoAnEmptyRegistryIsExact) {
+  MetricsRegistry reg, copy;
+  reg.set_enabled(true);
+  reg.count("c", 12);
+  reg.set("g", 1.0 / 3.0);
+  for (int i = 1; i <= 300; ++i) reg.observe("h", 0.1 * i);
+  fold(reg, copy);
+  EXPECT_EQ(copy.json(), reg.json());
 }
 
 }  // namespace

@@ -30,6 +30,8 @@
 #include "fleet/serial.h"
 #include "fleet/wire.h"
 #include "fleet/worker.h"
+#include "obs/health.h"
+#include "obs/metrics.h"
 
 #if defined(__SANITIZE_THREAD__)
 #define DQMC_FLEET_TSAN 1
@@ -157,6 +159,78 @@ TEST(Fleet, RaggedLastShardMatches) {
   const FleetResult fleet = run_fleet(cfg, policy, fleet_config(2), chains);
   expect_equivalent(fleet, single);
   EXPECT_EQ(fleet.fleet.chains, chains);
+}
+
+TEST(Fleet, ReportsEachChainAsACrowdOfOne) {
+  // The single-process run of this config steps two crowds of two; the
+  // fleet runs each of its four chains as a crowd of one.
+  const FleetResult fleet =
+      run_fleet(small_config(), test_policy(), fleet_config(2), 4);
+  EXPECT_EQ(fleet.results.batch_walkers, 1);
+  EXPECT_EQ(fleet.results.batch_crowds, 4);
+}
+
+/// Enables the process's registry and monitor for one test, zeroed, and
+/// restores both switches after it.
+class Observed {
+ public:
+  Observed()
+      : metrics_on_(obs::metrics().enabled()),
+        health_on_(obs::health().enabled()) {
+    obs::metrics().set_enabled(true);
+    obs::health().set_enabled(true);
+    zero();
+  }
+  ~Observed() {
+    zero();
+    obs::metrics().set_enabled(metrics_on_);
+    obs::health().set_enabled(health_on_);
+  }
+  static void zero() {
+    obs::metrics().reset();
+    obs::health().reset();
+  }
+
+ private:
+  bool metrics_on_, health_on_;
+};
+
+/// The registry counters and health counts a fleet must carry home.
+std::vector<std::uint64_t> observed_counts() {
+  std::vector<std::uint64_t> out;
+  for (const char* name : {"sweeps", "metropolis.proposed",
+                           "metropolis.accepted", "strat.qr_calls",
+                           "cluster.rebuilds"}) {
+    const obs::Counter* c = obs::metrics().find_counter(name);
+    out.push_back(c != nullptr ? c->value() : 0);
+  }
+  for (const char* name : {"gemm.gflops", "cluster.gflops"}) {
+    const obs::Histogram* h = obs::metrics().find_histogram(name);
+    out.push_back(h != nullptr ? h->count() : 0);
+  }
+  const obs::HealthMonitor::Summary hs = obs::health().summary();
+  out.push_back(hs.wrap_drift.count);
+  out.push_back(hs.sign_samples);
+  return out;
+}
+
+TEST(Fleet, MergedMetricsAndHealthMatchSingleProcess) {
+  // Each chain's registry and monitor travel home with its result, so the
+  // coordinator's hold what one process running every chain holds.
+  const Observed observed;
+  const core::SimulationConfig cfg = small_config();
+  const core::SimulationResults single =
+      core::run_supervised_parallel(cfg, test_policy(), 4);
+  const std::vector<std::uint64_t> want = observed_counts();
+  Observed::zero();
+  const FleetResult fleet = run_fleet(cfg, test_policy(), fleet_config(2), 4);
+  const std::vector<std::uint64_t> got = observed_counts();
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(got[0], 4u * static_cast<std::uint64_t>(cfg.warmup_sweeps +
+                                                    cfg.measurement_sweeps));
+  EXPECT_EQ(got[1], fleet.results.sweep_stats.proposed);
+  EXPECT_GT(got.back(), 0u);
+  EXPECT_EQ(fleet.results.trajectory_hash, single.trajectory_hash);
 }
 
 TEST(Fleet, WalkerBatchDoesNotChangeTheChainHashes) {
@@ -401,6 +475,8 @@ TEST(FleetWorker, ResultCarriesTheAssignedChainsBits) {
   EXPECT_EQ(state.chain, chain);
   EXPECT_EQ(state.done, cfg.warmup_sweeps + cfg.measurement_sweeps);
   EXPECT_TRUE(state.checkpoint.empty());
+  // Nothing is observed with the registry and monitor off.
+  EXPECT_TRUE(state.observability.empty());
   const std::unique_ptr<core::SimulationResults> partial =
       make_chain_partial(cfg, chain);
   deserialize_chain_partial(state.partial, *partial);

@@ -140,14 +140,33 @@ TEST_F(FleetKillTest, ReassignedChainKeepsItsPhaseProfile) {
   // the survivor resumes the chain from it, and the merged profile still
   // bills every sweep once. Delayed-update calls follow the trajectory
   // alone; the resume rebuilds its stacks, so stratification and
-  // clustering bill at least as many calls as undisturbed.
+  // clustering bill at least as many calls as undisturbed. The chain's
+  // metrics resume from the snapshot too: the merged registry counts every
+  // sweep and proposal once.
   const core::SimulationConfig cfg = small_config();
   const core::SupervisorPolicy policy = test_policy();
+  obs::MetricsRegistry& registry = obs::metrics();
+  const bool was_enabled = registry.enabled();
+  registry.set_enabled(true);
+  const auto counted = [&registry](const FleetResult& run) {
+    const obs::Counter* proposed = registry.find_counter("metropolis.proposed");
+    const obs::Counter* sweeps = registry.find_counter("sweeps");
+    ASSERT_NE(proposed, nullptr);
+    ASSERT_NE(sweeps, nullptr);
+    EXPECT_EQ(proposed->value(), run.results.sweep_stats.proposed);
+    EXPECT_EQ(sweeps->value(), 4u * 12u);  // chains x (warmup + sweeps)
+  };
+  registry.reset();
   const FleetResult undisturbed = run_fleet(cfg, policy, fleet_config(2), 4);
+  counted(undisturbed);
   FleetConfig kill = fleet_config(2);
   kill.worker_failpoints = "fleet.worker.kill:8";
   kill.failpoint_worker = 0;
+  registry.reset();
   const FleetResult disturbed = run_fleet(cfg, policy, kill, 4);
+  counted(disturbed);
+  registry.reset();
+  registry.set_enabled(was_enabled);
   ASSERT_EQ(disturbed.fleet.worker_deaths, 1u);
   ASSERT_EQ(disturbed.results.trajectory_hash,
             undisturbed.results.trajectory_hash);
@@ -236,11 +255,20 @@ TEST_F(FleetKillTest, CoordinatorRecvFaultDisposesThePeerAndRecovers) {
   const FleetResult undisturbed =
       run_fleet(cfg, policy, fleet_config(2), chains);
 
+  obs::MetricsRegistry& registry = obs::metrics();
+  const bool was_enabled = registry.enabled();
+  registry.set_enabled(true);
+  registry.reset();
   fault::failpoints().arm_spec("fleet.io.recv:4");
   const FleetResult disturbed = run_fleet(cfg, policy, fleet_config(2), chains);
   fault::failpoints().disarm_all();
+  const obs::Counter* faults = registry.find_counter("fleet.protocol_faults");
+  const std::uint64_t counted = faults != nullptr ? faults->value() : 0;
+  registry.reset();
+  registry.set_enabled(was_enabled);
 
   EXPECT_EQ(disturbed.fleet.protocol_faults, 1u);
+  EXPECT_EQ(counted, 1u);  // the metric mirrors the report: once
   EXPECT_EQ(disturbed.fleet.worker_deaths, 1u);
   expect_same_physics(disturbed, undisturbed);
   bool saw_io_event = false;

@@ -147,6 +147,10 @@ TEST(Wire, RetiredYieldFrameTypeIsAProtocolFault) {
   expect_retired_type_is_a_protocol_fault(6);
 }
 
+TEST(Wire, RetiredTelemetryFrameTypeIsAProtocolFault) {
+  expect_retired_type_is_a_protocol_fault(10);
+}
+
 TEST(Wire, HeaderValidatedBeforePayloadArrives) {
   FrameDecoder dec;
   std::string header = encode_frame(FrameType::kHello, 0, "zzzz");
@@ -208,10 +212,10 @@ std::string random_valid_frame(Lcg& rng) {
   const FrameType types[] = {FrameType::kHello,    FrameType::kAssign,
                              FrameType::kResult,   FrameType::kSnapshot,
                              FrameType::kProgress, FrameType::kShutdown,
-                             FrameType::kFail,     FrameType::kTelemetry};
+                             FrameType::kFail};
   std::string payload(rng.below(64), '\0');
   for (char& c : payload) c = static_cast<char>(rng.below(256));
-  return encode_frame(types[rng.below(8)], rng.below(16), payload);
+  return encode_frame(types[rng.below(7)], rng.below(16), payload);
 }
 
 /// Feed `wire` in random chunk sizes; count frames until exhaustion or a
@@ -293,8 +297,8 @@ TEST(WireTorture, PureGarbageNeverAllocatesUnbounded) {
   }
 }
 
-// --- worker-unique artifact paths (the per-worker extension of the
-// process-unique dump-path fix) ------------------------------------------
+// --- worker-unique crash-dump paths (the worker dumps there, and the
+// coordinator names the same path in its worker table) -------------------
 TEST(WorkerPaths, InsertsTagBeforeKnownExtensions) {
   EXPECT_EQ(worker_unique_path("dump.json", 3, 4242),
             "dump.w3.p4242.json");

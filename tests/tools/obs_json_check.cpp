@@ -98,6 +98,19 @@ void check_manifest(const Json& m) {
           "metrics.accept_rate is present");
   require(walk(m, &v, "health", "wrap_drift") && v->is_object(),
           "health.wrap_drift is present");
+  // Every run sweeps, so a monitored run holds samples of both signals (a
+  // fleet's are its workers', merged).
+  const Json* enabled = nullptr;
+  if (walk(m, &enabled, "health", "enabled") && enabled->is_bool() &&
+      enabled->boolean()) {
+    const Json& health = m.at("health");
+    require(walk(health, &v, "wrap_drift", "count") && v->is_number() &&
+                v->number() > 0,
+            "health.wrap_drift.count > 0");
+    require(walk(health, &v, "sign_samples") && v->is_number() &&
+                v->number() > 0,
+            "health.sign_samples > 0");
+  }
   require(walk(m, &v, "config") && v->is_object(), "config is present");
   require(walk(m, &v, "config", "backend") && v->is_string(),
           "config.backend is present");
@@ -125,17 +138,11 @@ void check_manifest(const Json& m) {
   require(walk(m, &reg, "metrics", "registry") && reg->is_object(),
           "metrics.registry is present");
   if (reg != nullptr && reg->is_object()) {
-    // The registry is the writing process's own. A fleet coordinator runs
-    // no kernel (its workers' registries stay in the workers), so a fleet
-    // manifest carries the fleet counters instead of the flush rate.
+    // A fleet's registry holds its workers' metrics, merged, so every run's
+    // registry records the flush rate.
     const Json* rec = nullptr;
-    if (m.find("fleet") == nullptr) {
-      require(walk(*reg, &rec, "histograms", "gemm.gflops"),
-              "metrics.registry records gemm.gflops");
-    } else {
-      require(walk(*reg, &rec, "counters", "fleet.runs"),
-              "metrics.registry of a fleet records fleet.runs");
-    }
+    require(walk(*reg, &rec, "histograms", "gemm.gflops"),
+            "metrics.registry records gemm.gflops");
   }
 }
 
