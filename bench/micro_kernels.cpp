@@ -1,6 +1,6 @@
 // google-benchmark micro-benchmarks of the dense kernels underlying every
 // figure: GEMM, blocked QR and its explicit-Q build, the triangular T update,
-// pivoted QR, the pre-pivot column-norm sort, and the fine-grain scaling
+// the closure's LU factor and solve, pivoted QR, the pre-pivot column-norm sort, and the fine-grain scaling
 // kernels of Section IV-B, the checkerboard (split-bond) appliers, the
 // exact kinetic factor applied through its Kronecker factors, and one slice
 // of the delayed-update site loop.
@@ -22,6 +22,7 @@
 #include "linalg/blas3.h"
 #include "linalg/cb_operator.h"
 #include "linalg/diag.h"
+#include "linalg/lu.h"
 #include "linalg/norms.h"
 #include "linalg/qr.h"
 #include "linalg/qrp.h"
@@ -162,6 +163,58 @@ void BM_TrmmUpper(benchmark::State& state) {
       benchmark::Counter::kIsRate, benchmark::Counter::OneK::kIs1000);
 }
 BENCHMARK(BM_TrmmUpper)->Arg(64)->Arg(256);
+
+// The LU of the two-sided Green's-function closure (one per boundary and
+// spin) and its solve against n columns (the equal-time closure) or 2n (the
+// three-family closure that also forms G(l,0) and G(0,l)). The factored
+// matrix is diagonally dominant, as the closure's well-conditioned middle
+// matrix is. GFlops counts 2/3 n^3 for the factorization and 2 n^2 per
+// right-hand side for the solve.
+Matrix lu_test_matrix(idx n) {
+  MatrixRng rng(static_cast<std::uint64_t>(n) + 19);
+  Matrix a = rng.uniform_matrix(n, n);
+  for (idx i = 0; i < n; ++i) a(i, i) += static_cast<double>(n);
+  return a;
+}
+
+void BM_LuFactor(benchmark::State& state) {
+  const idx n = state.range(0);
+  const Matrix a = lu_test_matrix(n);
+  for (auto _ : state) {
+    LUFactorization f = lu_factor(a);
+    benchmark::DoNotOptimize(f.factors.data());
+  }
+  state.counters["GFlops"] = benchmark::Counter(
+      2.0 / 3.0 * static_cast<double>(n) * n * n *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate, benchmark::Counter::OneK::kIs1000);
+}
+BENCHMARK(BM_LuFactor)->Arg(256)->Unit(benchmark::kMicrosecond);
+
+void BM_LuSolve(benchmark::State& state) {
+  const idx n = state.range(0);
+  const idx rhs = state.range(1) * n;
+  const LUFactorization f = lu_factor(lu_test_matrix(n));
+  MatrixRng rng(static_cast<std::uint64_t>(n) + 23);
+  const Matrix b0 = rng.uniform_matrix(n, rhs);
+  Matrix b = b0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    copy(b0, b);
+    state.ResumeTiming();
+    lu_solve(f, Trans::No, b);
+    benchmark::DoNotOptimize(b.data());
+  }
+  state.counters["GFlops"] = benchmark::Counter(
+      2.0 * static_cast<double>(n) * n * static_cast<double>(rhs) *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate, benchmark::Counter::OneK::kIs1000);
+}
+BENCHMARK(BM_LuSolve)
+    ->ArgNames({"n", "rhs_per_n"})
+    ->Args({256, 1})
+    ->Args({256, 2})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_QrPivoted(benchmark::State& state) {
   const idx n = state.range(0);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <span>
 #include <utility>
 #include <vector>
@@ -78,9 +79,11 @@ void scale_c(MatrixView c, double beta) {
 }
 
 /// Width of one GEBP column slab. Multiple of kNR so slab boundaries fall on
-/// packed-strip boundaries; ~40 register tiles of work per (row-tile, slab)
+/// packed-strip boundaries; 30 register tiles of work per (row-tile, slab)
 /// task keeps tasks coarse while still exposing M x N parallelism.
 constexpr idx kGebpNC = 240;
+static_assert(kGebpNC % kNR == 0 && kMC % kMR == 0,
+              "GEBP slabs and A blocks hold whole register tiles");
 
 /// Inner GEBP block: C(mc x nc) += alpha * Apacked(mc x kc) * Bpacked(kc x nc)
 /// partitioned 2D over (M row-tiles) x (N column slabs). Each task owns a
@@ -309,61 +312,264 @@ bool effective_upper(UpLo uplo, Trans trans) {
          (uplo == UpLo::Lower && trans == Trans::Yes);
 }
 
-/// Unblocked B <- op(Tkk) * B for a small diagonal block (column-parallel).
-/// T is walked by columns in both forms, so every inner loop is unit-stride
-/// in T and in B: Trans::No adds x(p) * T(:,p) into x (axpy form), and
-/// Trans::Yes takes each row of op(T) as a dot with T(:,i).
-void trmm_left_unblocked(UpLo uplo, Trans trans, Diag diag, ConstMatrixView t,
-                         MatrixView b) {
-  const idx m = b.rows();
-  const bool unit = diag == Diag::Unit;
-  const bool upper = uplo == UpLo::Upper;
-  par::parallel_for(
-      0, b.cols(),
-      [&](par::index_t jj) {
-        double* x = b.col(static_cast<idx>(jj));
-        if (trans == Trans::No) {
-          // Column p feeds the rows on the other side of the diagonal; x(p)
-          // is still the input value when column p is applied.
-          if (upper) {
-            for (idx p = 0; p < m; ++p) {
-              const double xp = x[p];
-              axpy(p, xp, t.col(p), x);
-              if (!unit) x[p] = t(p, p) * xp;
-            }
-          } else {
-            for (idx p = m - 1; p >= 0; --p) {
-              const double xp = x[p];
-              axpy(m - p - 1, xp, t.col(p) + p + 1, x + p + 1);
-              if (!unit) x[p] = t(p, p) * xp;
-            }
-          }
-        } else if (upper) {
-          // op(T) = T^T is lower: row i reads inputs 0..i, so go bottom-up.
-          for (idx i = m - 1; i >= 0; --i) {
-            const double xi = unit ? x[i] : t(i, i) * x[i];
-            x[i] = xi + dot(i, t.col(i), x);
-          }
-        } else {
-          // op(T) = T^T is upper: row i reads inputs i..m, so go top-down.
-          for (idx i = 0; i < m; ++i) {
-            const double xi = unit ? x[i] : t(i, i) * x[i];
-            x[i] = xi + dot(m - i - 1, t.col(i) + i + 1, x + i + 1);
-          }
-        }
-      },
-      {.grain = 4});
+/// Right-hand-side columns one diagonal-block pass carries, as kTriVecs
+/// vectors of kTriLanes doubles per row.
+constexpr idx kTriLanes = 8;
+constexpr idx kTriVecs = 2;
+constexpr idx kTriGroup = kTriLanes * kTriVecs;
+/// Rows whose chains run side by side over their common range: with
+/// kTriVecs vectors per row that is 8 independent FMA chains, enough to
+/// cover the FMA latency.
+constexpr idx kTriRows = 4;
+
+#if defined(__GNUC__) && !defined(DQMC_NO_VECTOR_EXT)
+
+/// kTriLanes doubles as one GCC vector (element alignment only).
+typedef double Lanes
+    __attribute__((vector_size(kTriLanes * sizeof(double)), aligned(8)));
+
+/// a + x c and a - x c, each one contracted multiply-add per lane.
+inline Lanes madd(Lanes a, Lanes x, double c) { return a + x * c; }
+inline Lanes msub(Lanes a, Lanes x, double c) { return a - x * c; }
+
+/// `updated` in the lanes where x != 0, `kept` where x == 0.
+inline Lanes unless_zero(Lanes x, Lanes updated, Lanes kept) {
+  return x != 0.0 ? updated : kept;
 }
 
-/// Unblocked op(Tkk) X = B solve for a small diagonal block.
-void trsm_left_unblocked(UpLo uplo, Trans trans, Diag diag, ConstMatrixView t,
-                         MatrixView b) {
+#else  // portable scalar fallback: the same operations lane by lane
+
+struct Lanes {
+  double e[kTriLanes];
+};
+
+inline Lanes madd(Lanes a, Lanes x, double c) {
+  for (idx l = 0; l < kTriLanes; ++l) a.e[l] = a.e[l] + x.e[l] * c;
+  return a;
+}
+inline Lanes msub(Lanes a, Lanes x, double c) {
+  for (idx l = 0; l < kTriLanes; ++l) a.e[l] = a.e[l] - x.e[l] * c;
+  return a;
+}
+inline Lanes operator+(Lanes a, Lanes b) {
+  for (idx l = 0; l < kTriLanes; ++l) a.e[l] += b.e[l];
+  return a;
+}
+inline Lanes operator-(Lanes a, Lanes b) {
+  for (idx l = 0; l < kTriLanes; ++l) a.e[l] -= b.e[l];
+  return a;
+}
+inline Lanes operator/(Lanes a, double c) {
+  for (idx l = 0; l < kTriLanes; ++l) a.e[l] /= c;
+  return a;
+}
+inline Lanes unless_zero(Lanes x, Lanes updated, Lanes kept) {
+  for (idx l = 0; l < kTriLanes; ++l) {
+    if (x.e[l] == 0.0) updated.e[l] = kept.e[l];
+  }
+  return updated;
+}
+
+#endif
+
+inline Lanes load(const double* p) {
+  Lanes v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+inline void store(double* p, Lanes v) { std::memcpy(p, &v, sizeof v); }
+
+/// The diagonal-block kernels of the left-side trsm and trmm. A pass takes
+/// kTriGroup right-hand-side columns into X, a row-major copy, and computes
+/// each row of the result as one chain: row i steps through the rows j of
+/// its range in a fixed order, one multiply-add per step, vectorized across
+/// the columns. Every element sees the per-column loop's operations in the
+/// per-column loop's order:
+/// - Trans::No (kAxpy) is the axpy form of trsv and of trmm's column loop:
+///   the step takes T(i, j) and X(j), and a lane whose X(j) is zero keeps
+///   its value (axpy's alpha == 0 skip). A solve subtracts and ends with the
+///   division; trmm starts from the rounded diagonal product.
+/// - Trans::Yes is the dot form: the step takes T(j, i) and sums the dot
+///   product from zero, ascending in j. The solve subtracts it from X(i);
+///   trmm adds it to the diagonal product in one multiply-add, as the
+///   column loop's `t(i, i) * x[i] + dot` contracts. (blas1 dot, which the
+///   column loop called, may be vectorized by the compiler into an in-order
+///   reduction that rounds each product apart from the sum; no production
+///   path solves or multiplies by a transposed triangle from the left.)
+/// A solve reads the finished rows before i in its processing order, trmm
+/// the not yet overwritten rows after it.
+template <bool kSolve, bool kAxpy>
+class DiagonalBlock {
+ public:
+  DiagonalBlock(ConstMatrixView t, bool upper, bool unit, double* xs,
+           const double* ds)
+      : t_(t.data()),
+        ld_(t.ld()),
+        nb_(t.rows()),
+        unit_(unit),
+        di_(kSolve == upper ? -1 : 1),
+        forward_(kAxpy || (kSolve ? !upper : upper)),
+        xs_(xs),
+        start_(kSolve || unit ? xs : ds) {}
+
+  void run() {
+    idx q = 0;
+    // A backward solve chain needs the row just before it finished before
+    // its first step, so its rows run one at a time.
+    if (!kSolve || forward_) {
+      for (; q + kTriRows <= nb_; q += kTriRows) rows<kTriRows>(q);
+    }
+    for (; q < nb_; ++q) rows<1>(q);
+  }
+
+ private:
+  /// Row at processing position q.
+  idx row(idx q) const { return di_ > 0 ? q : nb_ - 1 - q; }
+
+  double* x(idx i) const { return xs_ + i * kTriGroup; }
+
+  /// `count` steps of the R chains of rows i0, i0 + di, ..., from row j
+  /// moving by dj; acc holds R x kTriVecs vectors.
+  template <idx R>
+  void chain(idx i0, idx j, idx dj, idx count, Lanes* acc) const {
+    for (idx s = 0; s < count; ++s, j += dj) {
+      Lanes xj[kTriVecs];
+      for (idx v = 0; v < kTriVecs; ++v) xj[v] = load(x(j) + v * kTriLanes);
+#pragma GCC unroll 4
+      for (idx r = 0; r < R; ++r) {
+        const idx i = i0 + r * di_;
+        const double c = kAxpy ? t_[i + j * ld_] : t_[j + i * ld_];
+        Lanes* a = acc + r * kTriVecs;
+#pragma GCC unroll 2
+        for (idx v = 0; v < kTriVecs; ++v) {
+          if constexpr (!kAxpy) {
+            a[v] = madd(a[v], xj[v], c);
+          } else if constexpr (kSolve) {
+            a[v] = unless_zero(xj[v], msub(a[v], xj[v], c), a[v]);
+          } else {
+            a[v] = unless_zero(xj[v], madd(a[v], xj[v], c), a[v]);
+          }
+        }
+      }
+    }
+  }
+
+  /// Writes row i's result from its finished chain.
+  void finish(idx i, const Lanes* a) const {
+    const double tii = t_[i + i * ld_];
+    for (idx v = 0; v < kTriVecs; ++v) {
+      double* xi = x(i) + v * kTriLanes;
+      Lanes out = a[v];
+      if constexpr (kSolve && kAxpy) {
+        if (!unit_) out = a[v] / tii;
+      } else if constexpr (kSolve) {
+        out = load(xi) - a[v];
+        if (!unit_) out = out / tii;
+      } else if constexpr (!kAxpy) {
+        out = unit_ ? load(xi) + a[v] : madd(a[v], load(xi), tii);
+      }
+      store(xi, out);
+    }
+  }
+
+  /// The R rows at processing positions q0 .. q0 + R - 1.
+  template <idx R>
+  void rows(idx q0) const {
+    const idx i0 = row(q0);
+    Lanes acc[R * kTriVecs];
+    for (idx r = 0; r < R; ++r) {
+      for (idx v = 0; v < kTriVecs; ++v) {
+        acc[r * kTriVecs + v] =
+            kAxpy ? load(start_ + (i0 + r * di_) * kTriGroup + v * kTriLanes)
+                  : Lanes{};
+      }
+    }
+    if constexpr (kSolve) {
+      // The rows before the block, then the block's own earlier rows.
+      if (forward_) {
+        chain<R>(i0, row(0), di_, q0, acc);
+        for (idx k = 0; k < R; ++k) {
+          chain<1>(i0 + k * di_, i0, di_, k, acc + k * kTriVecs);
+          finish(i0 + k * di_, acc + k * kTriVecs);
+        }
+      } else {
+        chain<1>(i0, i0 - di_, -di_, q0, acc);
+        finish(i0, acc);
+      }
+      return;
+    }
+    // trmm: the block's own later rows and the rows after the block, in the
+    // chain's order; every row is finished once all chains have read it.
+    const idx rest = nb_ - q0 - R;
+    if (forward_) {
+      for (idx k = 0; k + 1 < R; ++k) {
+        chain<1>(i0 + k * di_, i0 + (k + 1) * di_, di_, R - 1 - k,
+                 acc + k * kTriVecs);
+      }
+      chain<R>(i0, row(q0 + R), di_, rest, acc);
+    } else {
+      chain<R>(i0, row(nb_ - 1), -di_, rest, acc);
+      for (idx k = 0; k + 1 < R; ++k) {
+        chain<1>(i0 + k * di_, i0 + (R - 1) * di_, -di_, R - 1 - k,
+                 acc + k * kTriVecs);
+      }
+    }
+    for (idx k = 0; k < R; ++k) finish(i0 + k * di_, acc + k * kTriVecs);
+  }
+
+  const double* t_;
+  idx ld_;
+  idx nb_;
+  bool unit_;
+  idx di_;
+  bool forward_;
+  double* xs_;
+  const double* start_;
+};
+
+/// Diagonal-block kernel of the left-side trsm (kSolve: op(T) X = B) and
+/// trmm (B <- op(T) B): DiagonalBlock passes over kTriGroup-column groups, the
+/// groups in parallel.
+template <bool kSolve>
+void left_unblocked(UpLo uplo, Trans trans, Diag diag, ConstMatrixView t,
+                    MatrixView b) {
+  const idx nb = t.rows();
+  DQMC_CHECK(nb <= kTriBlock);
+  const bool upper = effective_upper(uplo, trans);
+  const bool unit = diag == Diag::Unit;
+  const idx groups = (b.cols() + kTriGroup - 1) / kTriGroup;
   par::parallel_for(
-      0, b.cols(),
-      [&](par::index_t j) {
-        trsv(uplo, trans, diag, t, b.col(static_cast<idx>(j)));
+      0, groups,
+      [&](par::index_t g) {
+        alignas(64) double xs[kTriBlock * kTriGroup];
+        alignas(64) double ds[kTriBlock * kTriGroup];
+        const idx c0 = static_cast<idx>(g) * kTriGroup;
+        const idx w = std::min(kTriGroup, b.cols() - c0);
+        for (idx c = 0; c < kTriGroup; ++c) {
+          const double* bc = c < w ? b.col(c0 + c) : nullptr;
+          for (idx i = 0; i < nb; ++i) xs[i * kTriGroup + c] = bc ? bc[i] : 0.0;
+        }
+        if (trans == Trans::No) {
+          // trmm's axpy form starts each row from its rounded diagonal
+          // product, kept apart from X, whose rows the chains still read.
+          if (!kSolve && !unit) {
+            for (idx i = 0; i < nb; ++i) {
+              for (idx c = 0; c < kTriGroup; ++c) {
+                ds[i * kTriGroup + c] = t(i, i) * xs[i * kTriGroup + c];
+              }
+            }
+          }
+          DiagonalBlock<kSolve, true>(t, upper, unit, xs, ds).run();
+        } else {
+          DiagonalBlock<kSolve, false>(t, upper, unit, xs, ds).run();
+        }
+        for (idx c = 0; c < w; ++c) {
+          double* bc = b.col(c0 + c);
+          for (idx i = 0; i < nb; ++i) bc[i] = xs[i * kTriGroup + c];
+        }
       },
-      {.grain = 4});
+      {.grain = flop_grain(static_cast<double>(nb) * static_cast<double>(nb) *
+                           static_cast<double>(kTriGroup))});
 }
 
 /// Unblocked X * op(Tkk) = B solve for a small diagonal block. Each row of X
@@ -459,7 +665,7 @@ void trsm(Side side, UpLo uplo, Trans trans, Diag diag, double alpha,
       // Bottom-up.
       for (idx k = (m - 1) / kTriBlock * kTriBlock; k >= 0; k -= kTriBlock) {
         const idx nb = std::min(kTriBlock, m - k);
-        trsm_left_unblocked(uplo, trans, diag, t.block(k, k, nb, nb),
+        left_unblocked<true>(uplo, trans, diag, t.block(k, k, nb, nb),
                             b.block(k, 0, nb, n));
         if (k > 0) {
           // rows [0, k) -= op(T)(0:k, k:k+nb) * X_k
@@ -477,7 +683,7 @@ void trsm(Side side, UpLo uplo, Trans trans, Diag diag, double alpha,
       // Top-down.
       for (idx k = 0; k < m; k += kTriBlock) {
         const idx nb = std::min(kTriBlock, m - k);
-        trsm_left_unblocked(uplo, trans, diag, t.block(k, k, nb, nb),
+        left_unblocked<true>(uplo, trans, diag, t.block(k, k, nb, nb),
                             b.block(k, 0, nb, n));
         const idx rest = m - k - nb;
         if (rest > 0) {
@@ -555,7 +761,7 @@ void trmm(Side side, UpLo uplo, Trans trans, Diag diag, double alpha,
       for (idx k = 0; k < m; k += kTriBlock) {
         const idx nb = std::min(kTriBlock, m - k);
         MatrixView bk = b.block(k, 0, nb, n);
-        trmm_left_unblocked(uplo, trans, diag, t.block(k, k, nb, nb), bk);
+        left_unblocked<false>(uplo, trans, diag, t.block(k, k, nb, nb), bk);
         const idx rest = m - k - nb;
         if (rest > 0) {
           if (trans == Trans::No) {
@@ -572,7 +778,7 @@ void trmm(Side side, UpLo uplo, Trans trans, Diag diag, double alpha,
       for (idx k = (m - 1) / kTriBlock * kTriBlock; k >= 0; k -= kTriBlock) {
         const idx nb = std::min(kTriBlock, m - k);
         MatrixView bk = b.block(k, 0, nb, n);
-        trmm_left_unblocked(uplo, trans, diag, t.block(k, k, nb, nb), bk);
+        left_unblocked<false>(uplo, trans, diag, t.block(k, k, nb, nb), bk);
         if (k > 0) {
           if (trans == Trans::No) {
             gemm(Trans::No, Trans::No, 1.0, t.block(k, 0, nb, k),

@@ -85,89 +85,128 @@ void pack_b(ConstMatrixView b, bool trans, idx p0, idx j0, idx kc, idx nc,
 
 namespace {
 
+/// Rows of one packed A-strip row that one accumulator covers, and the
+/// accumulators per tile column: a kMR-row strip is kMV of them.
+constexpr idx kLanes = 8;
+constexpr idx kMV = kMR / kLanes;
+static_assert(kMR % kLanes == 0, "the A strip is a whole number of lanes");
+
 #if defined(__GNUC__) && !defined(DQMC_NO_VECTOR_EXT)
 
-/// One packed A-strip row as a GCC vector: kMR doubles, element alignment
-/// only (the alignas(8) keeps loads/stores legal at any address, and the
-/// packed buffers are 64-byte aligned anyway).
-typedef double v8df __attribute__((vector_size(kMR * sizeof(double)), aligned(8)));
+/// kLanes doubles as a GCC vector, element alignment only (the alignas(8)
+/// keeps loads/stores legal at any address; the packed buffers are 64-byte
+/// aligned anyway).
+typedef double v8df
+    __attribute__((vector_size(kLanes * sizeof(double)), aligned(8)));
 
-/// Full-tile kernel using GCC vector extensions: the kNR accumulators each
-/// hold one kMR-wide register, giving the FMA throughput a plain scalar
-/// loop does not reach (measured ~11x on AVX-512).
-inline void kernel_full(idx kc, double alpha, const double* __restrict a,
-                        const double* __restrict b, double beta,
-                        double* __restrict c, idx ldc) {
-  v8df acc0{}, acc1{}, acc2{}, acc3{}, acc4{}, acc5{};
-  static_assert(kNR == 6, "accumulator count is tied to kNR");
+/// acc[j][v] = sum_p A(8v:8v+8, p) * B(p, j) over the first MV lane groups
+/// of the strip. The full tile (MV = kMV) holds kNR x kMV = 24 accumulators,
+/// which with the kMV A loads and one broadcast fits the 32 zmm registers of
+/// AVX-512. Edge tiles with fewer rows run a smaller MV instead of computing
+/// rows that are discarded.
+template <idx MV>
+inline void accumulate(idx kc, const double* __restrict a,
+                       const double* __restrict b, v8df (&acc)[kNR][kMV]) {
+  v8df s[kNR][MV] = {};
   for (idx p = 0; p < kc; ++p) {
-    const v8df av = *reinterpret_cast<const v8df*>(a + p * kMR);
+    v8df av[MV];
+#pragma GCC unroll 4
+    for (idx v = 0; v < MV; ++v) {
+      av[v] = *reinterpret_cast<const v8df*>(a + p * kMR + v * kLanes);
+    }
     const double* bp = b + p * kNR;
-    acc0 += av * bp[0];
-    acc1 += av * bp[1];
-    acc2 += av * bp[2];
-    acc3 += av * bp[3];
-    acc4 += av * bp[4];
-    acc5 += av * bp[5];
+#pragma GCC unroll 16
+    for (idx j = 0; j < kNR; ++j) {
+      const double bj = bp[j];
+#pragma GCC unroll 4
+      for (idx v = 0; v < MV; ++v) s[j][v] += av[v] * bj;
+    }
   }
-  const v8df accs[kNR] = {acc0, acc1, acc2, acc3, acc4, acc5};
+#pragma GCC unroll 16
   for (idx j = 0; j < kNR; ++j) {
-    v8df* cj = reinterpret_cast<v8df*>(c + j * ldc);
-    if (beta == 0.0) {
-      *cj = alpha * accs[j];
-    } else {
-      // beta is either 0 or 1 in the blocked driver; general beta is applied
-      // by the caller before the k-loop.
-      *cj += alpha * accs[j];
+#pragma GCC unroll 4
+    for (idx v = 0; v < MV; ++v) acc[j][v] = s[j][v];
+  }
+}
+
+/// C(:, j) <- alpha * acc(:, j) (+ C(:, j) unless beta == 0) for a full
+/// kMR x kNR tile.
+inline void store_full(double alpha, const v8df (&acc)[kNR][kMV], double beta,
+                       double* __restrict c, idx ldc) {
+#pragma GCC unroll 16
+  for (idx j = 0; j < kNR; ++j) {
+#pragma GCC unroll 4
+    for (idx v = 0; v < kMV; ++v) {
+      v8df* cj = reinterpret_cast<v8df*>(c + j * ldc + v * kLanes);
+      // beta is either 0 or 1 in the blocked driver; general beta is
+      // applied by the caller before the k-loop.
+      if (beta == 0.0) {
+        *cj = alpha * acc[j][v];
+      } else {
+        *cj += alpha * acc[j][v];
+      }
     }
   }
 }
 
-#else  // portable scalar fallback
+#else  // portable scalar fallback: the same tile and the same p order
 
-inline void kernel_full(idx kc, double alpha, const double* __restrict a,
-                        const double* __restrict b, double beta,
-                        double* __restrict c, idx ldc) {
-  double acc[kNR][kMR] = {};
+template <idx MV>
+inline void accumulate(idx kc, const double* __restrict a,
+                       const double* __restrict b,
+                       double (&acc)[kNR][kMV][kLanes]) {
+  constexpr idx rows = MV * kLanes;
+  double s[kNR][rows] = {};
   for (idx p = 0; p < kc; ++p) {
     const double* ap = a + p * kMR;
     const double* bp = b + p * kNR;
     for (idx j = 0; j < kNR; ++j) {
-      const double bv = bp[j];
-      for (idx i = 0; i < kMR; ++i) acc[j][i] += ap[i] * bv;
+      const double bj = bp[j];
+      for (idx i = 0; i < rows; ++i) s[j][i] += ap[i] * bj;
     }
   }
   for (idx j = 0; j < kNR; ++j) {
-    double* cj = c + j * ldc;
-    if (beta == 0.0) {
-      for (idx i = 0; i < kMR; ++i) cj[i] = alpha * acc[j][i];
-    } else {
-      for (idx i = 0; i < kMR; ++i) cj[i] += alpha * acc[j][i];
-    }
+    for (idx i = 0; i < rows; ++i) acc[j][i / kLanes][i % kLanes] = s[j][i];
   }
 }
 
 #endif
 
+/// accumulate<mv> for a run-time lane-group count 1 <= mv <= MV.
+template <idx MV, typename Acc>
+inline void accumulate_edge(idx mv, idx kc, const double* a, const double* b,
+                            Acc& acc) {
+  if constexpr (MV > 1) {
+    if (mv < MV) return accumulate_edge<MV - 1>(mv, kc, a, b, acc);
+  }
+  accumulate<MV>(kc, a, b, acc);
+}
+
 }  // namespace
 
 void micro_kernel(idx kc, double alpha, const double* a, const double* b,
                   double beta, double* c, idx ldc, idx mr, idx nr) {
+#if defined(__GNUC__) && !defined(DQMC_NO_VECTOR_EXT)
+  v8df acc[kNR][kMV];
   if (mr == kMR && nr == kNR) {
-    kernel_full(kc, alpha, a, b, beta, c, ldc);
+    accumulate<kMV>(kc, a, b, acc);
+    store_full(alpha, acc, beta, c, ldc);
     return;
   }
-  // Edge tile: compute into a local full tile, then copy the valid part.
-  double tile[kMR * kNR];
-  for (idx i = 0; i < kMR * kNR; ++i) tile[i] = 0.0;
-  kernel_full(kc, alpha, a, b, 0.0, tile, kMR);
+#else
+  double acc[kNR][kMV][kLanes];
+#endif
+  // Edge tile: accumulate only the lane groups that hold valid rows, then
+  // write the valid part with the full tile's alpha * acc (+ C) update.
+  accumulate_edge<kMV>((mr + kLanes - 1) / kLanes, kc, a, b, acc);
+  const double* tile = reinterpret_cast<const double*>(acc);
   for (idx j = 0; j < nr; ++j) {
     double* cj = c + j * ldc;
     const double* tj = tile + j * kMR;
     if (beta == 0.0) {
-      for (idx i = 0; i < mr; ++i) cj[i] = tj[i];
+      for (idx i = 0; i < mr; ++i) cj[i] = alpha * tj[i];
     } else {
-      for (idx i = 0; i < mr; ++i) cj[i] += tj[i];
+      for (idx i = 0; i < mr; ++i) cj[i] += alpha * tj[i];
     }
   }
 }

@@ -11,10 +11,15 @@
 
 namespace dqmc::linalg::detail {
 
-/// Register-tile shape. 8x6 doubles keeps all accumulators in AVX2 registers
-/// (12 ymm accumulators + operands) while remaining plain portable C++.
-inline constexpr idx kMR = 8;
-inline constexpr idx kNR = 6;
+/// Register-tile shape: 24x8 doubles is 24 accumulators of 8 lanes, which
+/// with three A loads and one B broadcast per step fills 28 of AVX-512's 32
+/// zmm registers and keeps both FMA pipes busy. Edge tiles run only the
+/// 8-row lane groups that hold valid rows. Every C element sums its kKC-deep
+/// block in p order with one multiply-add per step whatever the tile, so the
+/// tile shape changes no result bit. (Measured against 16x12 on the GEMM,
+/// flush and QR shapes at n = 64 and 256; see docs/PERFORMANCE.md.)
+inline constexpr idx kMR = 24;
+inline constexpr idx kNR = 8;
 
 /// Cache-blocking parameters (elements): A-panel is kMC x kKC (~L2-sized),
 /// B-panel kKC x kNC (~L3-sized). Overridable at configure time

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "linalg/blas1.h"
 
@@ -9,8 +10,24 @@ namespace dqmc::linalg {
 
 namespace {
 
+/// Applies the row interchanges piv[k0..k1) (in that order, or reversed) to
+/// columns [c0, c1) of a, one column at a time so every swap is within one
+/// unit-stride column (LAPACK's dlaswp). Pure data movement.
+void swap_rows(MatrixView a, const std::vector<idx>& piv, idx k0, idx k1,
+               idx c0, idx c1, bool reverse = false) {
+  for (idx c = c0; c < c1; ++c) {
+    double* col = a.col(c);
+    for (idx s = k0; s < k1; ++s) {
+      const idx k = reverse ? k0 + k1 - 1 - s : s;
+      const idx p = piv[static_cast<std::size_t>(k)];
+      if (p != k) std::swap(col[k], col[p]);
+    }
+  }
+}
+
 /// Unblocked right-looking panel factorization on the m x nb panel starting
-/// at global step k0. Pivot rows are searched over the whole panel height.
+/// at global step k0. Pivot rows are searched over the whole panel height;
+/// the interchanges touch only the panel's columns.
 void lu_panel(MatrixView a, idx k0, idx nb, std::vector<idx>& piv, int& sign) {
   const idx m = a.rows();
   for (idx k = k0; k < k0 + nb; ++k) {
@@ -18,7 +35,7 @@ void lu_panel(MatrixView a, idx k0, idx nb, std::vector<idx>& piv, int& sign) {
     idx p = k + iamax(m - k, &a(k, k), 1);
     piv[static_cast<std::size_t>(k)] = p;
     if (p != k) {
-      swap(a.cols(), &a(k, 0), a.ld(), &a(p, 0), a.ld());
+      swap(nb, &a(k, k0), a.ld(), &a(p, k0), a.ld());
       sign = -sign;
     }
     const double pivot = a(k, k);
@@ -46,9 +63,11 @@ LUFactorization lu_factor(Matrix a, idx block) {
 
   for (idx k0 = 0; k0 < n; k0 += block) {
     const idx nb = std::min(block, n - k0);
-    // Factor panel (columns k0..k0+nb) over rows k0..n; row swaps are applied
-    // across the full width inside lu_panel.
+    // Factor panel (columns k0..k0+nb) over rows k0..n, then apply its row
+    // swaps to the columns on either side.
     lu_panel(A, k0, nb, f.piv, f.pivot_sign);
+    swap_rows(A, f.piv, k0, k0 + nb, 0, k0);
+    swap_rows(A, f.piv, k0, k0 + nb, k0 + nb, n);
 
     if (k0 + nb < n) {
       // U12 = L11^{-1} A12 (unit lower triangular solve), then trailing
@@ -71,20 +90,14 @@ void lu_solve(const LUFactorization& f, Trans trans, MatrixView b) {
   DQMC_CHECK(b.rows() == n);
   if (trans == Trans::No) {
     // P A = L U  =>  A X = B  <=>  L U X = P B.
-    for (idx k = 0; k < n; ++k) {
-      const idx p = f.piv[static_cast<std::size_t>(k)];
-      if (p != k) swap(b.cols(), &b(k, 0), b.ld(), &b(p, 0), b.ld());
-    }
+    swap_rows(b, f.piv, 0, n, 0, b.cols());
     trsm(Side::Left, UpLo::Lower, Trans::No, Diag::Unit, 1.0, f.factors, b);
     trsm(Side::Left, UpLo::Upper, Trans::No, Diag::NonUnit, 1.0, f.factors, b);
   } else {
     // A^T X = B  <=>  U^T L^T P X = B: solve then un-permute.
     trsm(Side::Left, UpLo::Upper, Trans::Yes, Diag::NonUnit, 1.0, f.factors, b);
     trsm(Side::Left, UpLo::Lower, Trans::Yes, Diag::Unit, 1.0, f.factors, b);
-    for (idx k = n - 1; k >= 0; --k) {
-      const idx p = f.piv[static_cast<std::size_t>(k)];
-      if (p != k) swap(b.cols(), &b(k, 0), b.ld(), &b(p, 0), b.ld());
-    }
+    swap_rows(b, f.piv, 0, n, 0, b.cols(), /*reverse=*/true);
   }
 }
 

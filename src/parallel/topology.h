@@ -21,7 +21,8 @@ namespace dqmc::par {
 /// the whole budget on a top-level thread, the thread's share inside a
 /// runtime task or under set_thread_serial. The budget resolves as
 /// set_num_threads() override > DQMC_THREADS env var >
-/// std::thread::hardware_concurrency() (min 1).
+/// std::thread::hardware_concurrency() (min 1); the last two are read once,
+/// at the first call.
 int num_threads();
 
 /// Override the budget for subsequent parallel regions (0 = reset to the

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <tuple>
 
+#include "linalg/blas1.h"
 #include "linalg/util.h"
 #include "testing/test_utils.h"
 
@@ -13,7 +17,7 @@ namespace {
 using testing::reference_gemm;
 
 /// Parameter sweep: (m, n, k, transa, transb, alpha, beta). Shapes straddle
-/// the micro-kernel tile (8x6) and cache-block boundaries on purpose.
+/// the micro-kernel tile (24x8) and cache-block boundaries on purpose.
 class GemmSweep
     : public ::testing::TestWithParam<
           std::tuple<std::tuple<idx, idx, idx>, bool, bool, double, double>> {};
@@ -40,6 +44,8 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(std::tuple<idx, idx, idx>{1, 1, 1},
                           std::tuple<idx, idx, idx>{8, 6, 4},
                           std::tuple<idx, idx, idx>{9, 7, 5},
+                          std::tuple<idx, idx, idx>{24, 8, 16},
+                          std::tuple<idx, idx, idx>{41, 13, 33},
                           std::tuple<idx, idx, idx>{16, 12, 256},
                           std::tuple<idx, idx, idx>{64, 64, 64},
                           std::tuple<idx, idx, idx>{100, 50, 300},
@@ -170,6 +176,153 @@ TEST_P(TrmmSweep, MatchesDenseMultiply) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllVariants, TrmmSweep, all_tri_variants());
+
+/// x * y + z with one rounding where the target fuses multiply-adds (as the
+/// kernels' contracted `a + x * c` does), two where it cannot.
+double madd(double x, double y, double z) {
+#ifdef __FP_FAST_FMA
+  return std::fma(x, y, z);
+#else
+  return x * y + z;
+#endif
+}
+
+/// op(T) X = B by columns, the oracle of the diagonal-block solve. The axpy
+/// form (Trans::No) is trsv's; the dot form sums each dot product in order
+/// with one multiply-add per step. (trsv's own dot product is blas1 dot,
+/// which the compiler may vectorize as an in-order reduction that rounds the
+/// products apart from the sum.)
+void per_column_trsm(UpLo uplo, Trans trans, Diag diag, const Matrix& t,
+                     Matrix& b) {
+  const idx m = b.rows();
+  const bool unit = diag == Diag::Unit;
+  for (idx c = 0; c < b.cols(); ++c) {
+    double* x = b.col(c);
+    if (trans == Trans::No) {
+      trsv(uplo, trans, diag, t, x);
+      continue;
+    }
+    const bool forward = uplo == UpLo::Upper;
+    for (idx s = 0; s < m; ++s) {
+      const idx i = forward ? s : m - 1 - s;
+      double d = 0.0;
+      const idx j0 = forward ? 0 : i + 1, j1 = forward ? i : m;
+      for (idx j = j0; j < j1; ++j) d = madd(t(j, i), x[j], d);
+      const double r = x[i] - d;
+      x[i] = unit ? r : r / t(i, i);
+    }
+  }
+}
+
+/// B <- op(T) B by columns, the oracle of the diagonal-block multiply: the
+/// axpy form is the per-column loop trmm ran before its column groups (the
+/// diagonal product rounded, then axpy updates), the dot form the diagonal
+/// product plus an in-order multiply-add dot product in one multiply-add.
+void per_column_trmm(UpLo uplo, Trans trans, Diag diag, const Matrix& t,
+                     Matrix& b) {
+  const idx m = b.rows();
+  const bool unit = diag == Diag::Unit;
+  const bool upper = uplo == UpLo::Upper;
+  for (idx c = 0; c < b.cols(); ++c) {
+    double* x = b.col(c);
+    if (trans == Trans::No) {
+      if (upper) {
+        for (idx p = 0; p < m; ++p) {
+          const double xp = x[p];
+          axpy(p, xp, t.col(p), x);
+          if (!unit) x[p] = t(p, p) * xp;
+        }
+      } else {
+        for (idx p = m - 1; p >= 0; --p) {
+          const double xp = x[p];
+          axpy(m - p - 1, xp, t.col(p) + p + 1, x + p + 1);
+          if (!unit) x[p] = t(p, p) * xp;
+        }
+      }
+      continue;
+    }
+    // op(T) = T^T: row i reads inputs below it (upper T) or above it
+    // (lower T), so go bottom-up or top-down.
+    for (idx s = 0; s < m; ++s) {
+      const idx i = upper ? m - 1 - s : s;
+      double d = 0.0;
+      const idx j0 = upper ? 0 : i + 1, j1 = upper ? i : m;
+      for (idx j = j0; j < j1; ++j) d = madd(t(j, i), x[j], d);
+      x[i] = unit ? x[i] + d : madd(t(i, i), x[i], d);
+    }
+  }
+}
+
+/// (order of T, right-hand sides, uplo, trans, diag): orders up to one
+/// diagonal block, so trsm and trmm are their diagonal-block kernels alone.
+using GroupParam = std::tuple<idx, idx, UpLo, Trans, Diag>;
+
+class TriGroupBitwise : public ::testing::TestWithParam<GroupParam> {
+ protected:
+  /// A triangle and right-hand sides with exact zeros of both signs, so the
+  /// axpy form's alpha == 0 skip shows in the sign of zero results.
+  void SetUp() override {
+    const auto [tn, nrhs, uplo, trans, diag] = GetParam();
+    MatrixRng rng(static_cast<std::uint64_t>(tn * 37 + nrhs));
+    t_ = rng.uniform_matrix(tn, tn);
+    for (idx j = 0; j < tn; ++j) {
+      for (idx i = 0; i < tn; ++i) {
+        const bool keep = uplo == UpLo::Upper ? i <= j : i >= j;
+        if (!keep || (i + 2 * j) % 7 == 3) t_(i, j) = 0.0;
+        else if (i != j) t_(i, j) /= static_cast<double>(tn);
+      }
+      t_(j, j) = 2.0 + 0.01 * static_cast<double>(j);
+    }
+    b_ = rng.uniform_matrix(tn, nrhs);
+    for (idx j = 0; j < nrhs; ++j) {
+      for (idx i = 0; i < tn; ++i) {
+        if ((3 * i + j) % 5 == 0) b_(i, j) = 0.0;
+        if ((i + 5 * j) % 11 == 4) b_(i, j) = -0.0;
+      }
+    }
+  }
+
+  Matrix t_, b_;
+};
+
+void expect_bitwise_equal(const Matrix& got, const Matrix& want) {
+  for (idx j = 0; j < got.cols(); ++j) {
+    for (idx i = 0; i < got.rows(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got(i, j)),
+                std::bit_cast<std::uint64_t>(want(i, j)))
+          << "(" << i << ", " << j << "): " << got(i, j) << " vs "
+          << want(i, j);
+    }
+  }
+}
+
+TEST_P(TriGroupBitwise, TrsmMatchesPerColumnSolve) {
+  const auto [tn, nrhs, uplo, trans, diag] = GetParam();
+  Matrix x = b_;
+  trsm(Side::Left, uplo, trans, diag, 1.0, t_, x);
+  Matrix want = b_;
+  per_column_trsm(uplo, trans, diag, t_, want);
+  expect_bitwise_equal(x, want);
+}
+
+TEST_P(TriGroupBitwise, TrmmMatchesPerColumnLoop) {
+  const auto [tn, nrhs, uplo, trans, diag] = GetParam();
+  Matrix x = b_;
+  trmm(Side::Left, uplo, trans, diag, 1.0, t_, x);
+  Matrix want = b_;
+  per_column_trmm(uplo, trans, diag, t_, want);
+  expect_bitwise_equal(x, want);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RhsCounts, TriGroupBitwise,
+    ::testing::Combine(::testing::Values(idx{1}, idx{6}, idx{37}, idx{64}),
+                       ::testing::Values(idx{1}, idx{2}, idx{3}, idx{4},
+                                         idx{5}, idx{6}, idx{7}, idx{8},
+                                         idx{9}, idx{33}),
+                       ::testing::Values(UpLo::Upper, UpLo::Lower),
+                       ::testing::Values(Trans::No, Trans::Yes),
+                       ::testing::Values(Diag::NonUnit, Diag::Unit)));
 
 }  // namespace
 }  // namespace dqmc::linalg

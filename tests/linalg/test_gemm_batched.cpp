@@ -75,7 +75,7 @@ void run_case(bool ta, bool tb, idx m, idx n, idx k, idx count, bool shared_a,
   }
 }
 
-/// Shapes straddling the micro-kernel tile (8x6) and the cache-block
+/// Shapes straddling the micro-kernel tile (24x8) and the cache-block
 /// boundaries, all four trans combinations, batch sizes around the 2W
 /// walker-crowd shapes.
 class GemmBatchedSweep

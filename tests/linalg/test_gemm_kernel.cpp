@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "common/aligned.h"
+#include "linalg/blas3.h"
 #include "linalg/util.h"
 #include "testing/test_utils.h"
 
@@ -121,6 +126,105 @@ TEST(GemmKernel, MicroKernelBetaOneAccumulates) {
   micro_kernel(kc, 1.0, ap.data(), bp.data(), 1.0, c.data(), kMR, kMR, kNR);
   for (idx j = 0; j < kNR; ++j)
     for (idx i = 0; i < kMR; ++i) EXPECT_EQ(c(i, j), 13.0);
+}
+
+/// x * y + z with one rounding where the target fuses multiply-adds (as the
+/// kernel's contracted `acc += a * b` does), two where it cannot.
+double madd(double x, double y, double z) {
+#ifdef __FP_FAST_FMA
+  return std::fma(x, y, z);
+#else
+  return x * y + z;
+#endif
+}
+
+/// The GEMM contract, element by element: C is scaled by beta once, then
+/// each kKC-deep block of the inner dimension is summed in order from zero
+/// with one multiply-add per step and added as C + alpha * sum. With alpha
+/// = +-1 (every caller's) that last update rounds once, fused or not.
+Matrix sequential_gemm(bool ta, bool tb, double alpha, const Matrix& a,
+                       const Matrix& b, double beta, const Matrix& c0) {
+  Matrix c = c0;
+  const idx k = ta ? a.rows() : a.cols();
+  for (idx j = 0; j < c.cols(); ++j) {
+    for (idx i = 0; i < c.rows(); ++i) {
+      double cij = beta == 0.0 ? 0.0 : beta == 1.0 ? c(i, j) : c(i, j) * beta;
+      for (idx pc = 0; pc < k; pc += kKC) {
+        double acc = 0.0;
+        for (idx p = pc; p < std::min(k, pc + kKC); ++p) {
+          acc = madd(ta ? a(p, i) : a(i, p), tb ? b(j, p) : b(p, j), acc);
+        }
+        cij = madd(alpha, acc, cij);
+      }
+      c(i, j) = cij;
+    }
+  }
+  return c;
+}
+
+void expect_bitwise_equal(const Matrix& got, const Matrix& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  for (idx j = 0; j < got.cols(); ++j) {
+    for (idx i = 0; i < got.rows(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got(i, j)),
+                std::bit_cast<std::uint64_t>(want(i, j)))
+          << "(" << i << ", " << j << "): " << got(i, j) << " vs "
+          << want(i, j);
+    }
+  }
+}
+
+/// (m, n, k, transA, transB): m and n off the kMR x kNR tile, with row
+/// edges of one, two and three lane groups, and k from one step to past kKC.
+class GemmTileBitwise
+    : public ::testing::TestWithParam<
+          std::tuple<std::tuple<idx, idx>, idx, bool, bool>> {};
+
+TEST_P(GemmTileBitwise, MatchesSequentialFma) {
+  const auto [mn, k, ta, tb] = GetParam();
+  const auto [m, n] = mn;
+  MatrixRng rng(static_cast<std::uint64_t>(m * 1009 + n * 31 + k));
+  const Matrix a = ta ? rng.uniform_matrix(k, m) : rng.uniform_matrix(m, k);
+  const Matrix b = tb ? rng.uniform_matrix(n, k) : rng.uniform_matrix(k, n);
+  const Matrix c0 = rng.uniform_matrix(m, n);
+  for (const auto& [alpha, beta] :
+       {std::pair{1.0, 0.0}, std::pair{-1.0, 1.0}, std::pair{1.0, 1.0}}) {
+    Matrix c = c0;
+    gemm(ta ? Trans::Yes : Trans::No, tb ? Trans::Yes : Trans::No, alpha, a,
+         b, beta, c);
+    expect_bitwise_equal(c, sequential_gemm(ta, tb, alpha, a, b, beta, c0));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EdgeShapes, GemmTileBitwise,
+    ::testing::Combine(::testing::Values(std::tuple<idx, idx>{1, 1},
+                                         std::tuple<idx, idx>{7, 5},
+                                         std::tuple<idx, idx>{kMR, kNR},
+                                         std::tuple<idx, idx>{kMR + 9, kNR + 3},
+                                         std::tuple<idx, idx>{64, 64},
+                                         std::tuple<idx, idx>{kMC + 17, 45}),
+                       ::testing::Values(idx{1}, idx{16}, idx{32}, idx{257}),
+                       ::testing::Bool(), ::testing::Bool()));
+
+TEST(GemmTileBitwise, BatchedItemsMatchSequentialFma) {
+  MatrixRng rng(613);
+  const idx m = 41, n = 19, k = 33;
+  const Matrix shared = rng.uniform_matrix(m, k);
+  std::vector<Matrix> bs, cs, c0s;
+  for (int item = 0; item < 3; ++item) {
+    bs.push_back(rng.uniform_matrix(k, n));
+    c0s.push_back(rng.uniform_matrix(m, n));
+  }
+  cs = c0s;
+  gemm_batched(Trans::No, Trans::No, -1.0, {shared},
+               {bs[0], bs[1], bs[2]}, 1.0, {cs[0], cs[1], cs[2]});
+  for (std::size_t item = 0; item < 3; ++item) {
+    expect_bitwise_equal(
+        cs[item], sequential_gemm(false, false, -1.0, shared, bs[item], 1.0,
+                                  c0s[item]));
+  }
 }
 
 }  // namespace

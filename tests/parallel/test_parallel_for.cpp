@@ -6,6 +6,7 @@
 #include <numeric>
 #include <vector>
 
+#include "common/stopwatch.h"
 #include "parallel/topology.h"
 
 namespace dqmc::par {
@@ -60,6 +61,17 @@ TEST(Topology, OverrideAndReset) {
   EXPECT_EQ(num_threads(), 3);
   set_num_threads(0);
   EXPECT_EQ(num_threads(), def);
+}
+
+// A top-level thread asks for its budget at every parallel region (tens of
+// thousands of times per sweep), so the environment is not re-read per call.
+TEST(Topology, BudgetLookupIsCheap) {
+  ASSERT_EQ(num_threads(), num_threads());
+  const Stopwatch watch;
+  long sum = 0;
+  for (int i = 0; i < 1'000'000; ++i) sum += num_threads();
+  EXPECT_LT(watch.seconds(), 0.2);
+  EXPECT_EQ(sum, 1'000'000L * num_threads());
 }
 
 }  // namespace
